@@ -43,7 +43,6 @@ from .errors import (
     CyclicGraph,
     DivisibilityError,
     DomainMismatch,
-    Exhausted,
     IndexOutOfRange,
     InterleaverError,
     LengthMismatch,
@@ -51,7 +50,7 @@ from .errors import (
     RangeError,
     TableFormatError,
 )
-from .generator import GeneratorState, OpCensus, init_state, run, step, step_op_trace
+from .generator import OpCensus, run
 from .reference import (
     AddressTable,
     Direction,

@@ -94,7 +94,6 @@ def min_pairwise_spacing(mask: ErrorMask) -> int:
 class BurstReport:
     burst_length: int
     start_position: int
-    post_deinterleave_positions: tuple[int, ...]
     max_run_length: int
     min_pairwise_spacing: int
     rs_correctable: bool
@@ -123,7 +122,6 @@ def _report_for(cfg: InterleaverConfig, start: int, b: int) -> BurstReport:
     return BurstReport(
         burst_length=b,
         start_position=start,
-        post_deinterleave_positions=tuple(sorted(mapped.positions)),
         max_run_length=run,
         min_pairwise_spacing=min_pairwise_spacing(mapped),
         rs_correctable=run <= RS_MAX_CORRECTABLE_RUN,

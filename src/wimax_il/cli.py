@@ -9,7 +9,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import burst as burst_mod
 from . import generator
@@ -32,7 +32,6 @@ BURST_FORMAT_LINE = "# wimax-il burst report v1"
 class CommandOutcome:
     exit_code: int
     summary: str
-    artifacts: tuple[str, ...] = field(default=())
 
 
 def _engine_table(
@@ -61,7 +60,6 @@ def cmd_gen(
     return CommandOutcome(
         0,
         f"wrote {cfg.n_cbps}-row {direction.value} table ({engine} engine) to {out}",
-        (out,),
     )
 
 
@@ -190,18 +188,15 @@ def cmd_burst(
                 f"burst to isolated bits): {'holds' if holds else 'VIOLATED'}"
             )
 
-    artifacts = []
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_burst_csv(cfg, sweeps))
-        artifacts.append(out)
         lines.append(f"wrote CSV report to {out}")
     if json_out:
         with open(json_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_burst_json(cfg, sweeps))
-        artifacts.append(json_out)
         lines.append(f"wrote JSON report to {json_out}")
-    return CommandOutcome(0, "\n".join(lines), tuple(artifacts))
+    return CommandOutcome(0, "\n".join(lines))
 
 
 def cmd_tradeoff(
@@ -242,7 +237,6 @@ def cmd_tradeoff(
     ]
 
     all_ok = all(ok for _, ok in checks) and all(ok for *_, ok in rows)
-    artifacts = []
     if out:
         payload = report.as_dict()
         payload["comparison_check"] = [
@@ -251,9 +245,8 @@ def cmd_tradeoff(
         ]
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
-        artifacts.append(out)
         lines.append(f"wrote JSON report to {out}")
-    return CommandOutcome(0 if all_ok else 1, "\n".join(lines), tuple(artifacts))
+    return CommandOutcome(0 if all_ok else 1, "\n".join(lines))
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DivisibilityError, RangeError
 
@@ -167,34 +167,7 @@ class PaperReference:
     toolchain: str = "Xilinx ISE"
 
     def as_dict(self) -> dict:
-        return {
-            "area_fmax_mhz": self.area_fmax_mhz,
-            "speed_fmax_mhz": self.speed_fmax_mhz,
-            "power_mw": self.power_mw,
-            "area_ff": self.area_ff,
-            "speed_ff": self.speed_ff,
-            "area_lut": self.area_lut,
-            "speed_lut": self.speed_lut,
-            "slices": self.slices,
-            "comparison_fmax_mhz": self.comparison_fmax_mhz,
-            "comparison_slices_pct": self.comparison_slices_pct,
-            "comparison_ff_pct": self.comparison_ff_pct,
-            "comparison_lut_pct": self.comparison_lut_pct,
-            "upadhyaya_fmax_mhz": self.upadhyaya_fmax_mhz,
-            "upadhyaya_slices_pct": self.upadhyaya_slices_pct,
-            "upadhyaya_ff_pct": self.upadhyaya_ff_pct,
-            "upadhyaya_lut_pct": self.upadhyaya_lut_pct,
-            "lut_method_fmax_mhz": self.lut_method_fmax_mhz,
-            "printed_slices_reduction_pct": self.printed_slices_reduction_pct,
-            "printed_ff_reduction_pct": self.printed_ff_reduction_pct,
-            "printed_lut_reduction_pct": self.printed_lut_reduction_pct,
-            "printed_fmax_increase_pct": self.printed_fmax_increase_pct,
-            "fpga_family": self.fpga_family,
-            "fpga_device": self.fpga_device,
-            "fpga_package": self.fpga_package,
-            "fpga_speed_grade": self.fpga_speed_grade,
-            "toolchain": self.toolchain,
-        }
+        return asdict(self)
 
 
 PAPER_REFERENCE = PaperReference()

@@ -20,7 +20,7 @@ more register, area has the longer critical path) are asserted.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .config import PAPER_REFERENCE, InterleaverConfig, PaperReference
 from .errors import CyclicGraph, RangeError
@@ -60,7 +60,6 @@ class Variant(str, enum.Enum):
 class Node:
     name: str
     kind: NodeKind
-    stage: int = 0
 
 
 @dataclass
@@ -76,14 +75,11 @@ class DatapathGraph:
     nodes: dict[str, Node] = field(default_factory=dict)
     preds: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def add(self, name: str, kind: NodeKind, *inputs: str, stage: int = 0) -> None:
+    def add(self, name: str, kind: NodeKind, *inputs: str) -> None:
         if name in self.nodes:
             raise RangeError(f"duplicate node {name!r}")
-        self.nodes[name] = Node(name, kind, stage)
+        self.nodes[name] = Node(name, kind)
         self.preds[name] = tuple(inputs)
-
-    def stage_of(self, name: str) -> int:
-        return self.nodes[name].stage
 
     def validate(self) -> None:
         for name, inputs in self.preds.items():
@@ -136,16 +132,7 @@ class CostReport:
     fmax_proxy_mhz: float
 
     def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "register_count": self.register_count,
-            "adder_count": self.adder_count,
-            "comparator_count": self.comparator_count,
-            "mux_count": self.mux_count,
-            "lut_equiv": self.lut_equiv,
-            "critical_path_depth": self.critical_path_depth,
-            "fmax_proxy_mhz": self.fmax_proxy_mhz,
-        }
+        return asdict(self)
 
 
 def width_bits(cfg: InterleaverConfig) -> int:
@@ -195,8 +182,8 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("cmp_de", NodeKind.COMPARATOR, "s_phase", "tv")
         g.add("mux_de", NodeKind.MUX, "dv", "dv_lo", "cmp_de")
         g.add("add_u", NodeKind.ADDER, "r", "mux_de")
-        g.add("pipe_u", NodeKind.REGISTER, "add_u", stage=1)
-        g.add("add_k", NodeKind.ADDER, "pipe_u", "q", stage=1)
+        g.add("pipe_u", NodeKind.REGISTER, "add_u")
+        g.add("add_k", NodeKind.ADDER, "pipe_u", "q")
 
         g.add("add_r", NodeKind.ADDER, "r", "const_d")
         g.add("sub_r", NodeKind.SUBTRACTOR, "add_r", "const_n")

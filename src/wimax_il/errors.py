@@ -25,10 +25,6 @@ class LengthMismatch(InterleaverError, ValueError):
     """Block or mask length does not match the configuration."""
 
 
-class Exhausted(InterleaverError, RuntimeError):
-    """The address generator was stepped past the end of the block."""
-
-
 class CyclicGraph(InterleaverError, ValueError):
     """A datapath graph contains a combinational cycle."""
 

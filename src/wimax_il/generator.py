@@ -9,7 +9,7 @@ Counter scheme (all updated by add/subtract/compare only):
     r, q        running remainder/quotient of d*j by n_cbps
                 (r += d each step; one conditional subtract wraps r and
                 bumps q, since d < n_cbps)
-    s_phase     j mod s;  s_base = s*floor(j/s)   (compare-and-reset)
+    s_phase     j mod s (compare-and-reset)
     v           q mod s, advanced when q bumps
     dv, dv_lo   d*v and d*(v - s), kept as registers so the second-stage
                 correction d*(m_j - j) is always one of two ready values
@@ -25,13 +25,17 @@ equivalence with the modeled circuit is claimed, not its internal wiring.
 
 Configuration-time constants (d, s, -d*s) are precomputed at reset;
 the per-step datapath never divides or multiplies.
+
+The op census is not kept inside the loop. The loop counts its three
+branch events (r wraps, v resets, s_phase resets), and EVENT_OPS turns
+those counts into operation totals: each row is the datapath work one
+occurrence of that event costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .config import InterleaverConfig
-from .errors import Exhausted
 from .reference import AddressTable, Direction
 
 
@@ -41,9 +45,7 @@ class OpCensus:
 
     add/sub/compare/select cover the address-computation datapath,
     including the step counter increment. div, mul, and generic_floor are
-    present so their absence is visible: nothing in step() touches them.
-    The Exhausted precondition guard is API policing, not datapath, and is
-    not counted.
+    present so their absence is visible: the counter loop has none.
     """
 
     add: int = 0
@@ -55,159 +57,84 @@ class OpCensus:
     generic_floor: int = 0
 
     def total(self) -> int:
-        return (
-            self.add
-            + self.sub
-            + self.compare
-            + self.select
-            + self.div
-            + self.mul
-            + self.generic_floor
-        )
+        return sum(astuple(self))
 
 
-@dataclass(frozen=True)
-class GeneratorState:
-    """Counter snapshot between steps; a plain value, never mutated.
-
-    Construct through init_state, which also seeds the two derived
-    registers (dv_lo, tv). Invariants after n steps from reset:
-    q = floor(d*n/n_cbps), r = d*n - n_cbps*q, s_base + s_phase = n,
-    0 <= r < n_cbps, 0 <= s_phase < s.
-    """
-
-    cfg: InterleaverConfig
-    j: int
-    r: int
-    q: int
-    s_phase: int
-    s_base: int
-    v: int
-    dv: int
-    dv_lo: int
-    tv: int
-    neg_ds: int  # wired constant -d*s, the dv_lo reset value
+# Datapath operations per occurrence of each event in run()'s loop.
+EVENT_OPS = {
+    # r + dv/dv_lo, u + q, r + d, s_phase + 1, step counter + 1 (add 5);
+    # s_phase >= tv, r >= n_cbps, s_phase == s (compare 3);
+    # the dv/dv_lo correction (select 1)
+    "step": OpCensus(add=5, compare=3, select=1),
+    # r - n_cbps (sub 1); q + 1, v + 1 (add 2); v == s (compare 1)
+    "wrap": OpCensus(add=2, sub=1, compare=1),
+    # v, dv, dv_lo, tv load their reset values (select 4)
+    "v_reset": OpCensus(select=4),
+    # dv + d, dv_lo + d (add 2); tv - 1 (sub 1)
+    "v_advance": OpCensus(add=2, sub=1),
+    # s_phase loads 0 (select 1)
+    "s_reset": OpCensus(select=1),
+}
 
 
-def init_state(cfg: InterleaverConfig) -> GeneratorState:
-    """Reset: all counters zero; the first step emits the address for j=0."""
-    neg_ds = -(cfg.d * cfg.s)
-    return GeneratorState(
-        cfg=cfg,
-        j=0,
-        r=0,
-        q=0,
-        s_phase=0,
-        s_base=0,
-        v=0,
-        dv=0,
-        dv_lo=neg_ds,
-        tv=cfg.s,
-        neg_ds=neg_ds,
-    )
-
-
-def step(state: GeneratorState, census: OpCensus | None = None) -> tuple[int, GeneratorState]:
-    """Emit the address for the current j and advance every counter.
-
-    The emitted address equals reference.deinterleave_index(cfg, state.j)
-    exactly. Raises Exhausted past the end of the block.
-    """
-    cfg = state.cfg
-    n, d, s = cfg.n_cbps, cfg.d, cfg.s
-    if state.j >= n:
-        raise Exhausted(f"generator already emitted all {n} addresses")
-    c = census
-
-    # address for the current j: u = d*m_j mod n, q = floor(d*m_j / n)
-    if c:
-        c.compare += 1
-        c.select += 1
-        c.add += 2
-    if state.s_phase >= state.tv:
-        u = state.r + state.dv_lo
-    else:
-        u = state.r + state.dv
-    assert 0 <= u < n, "correction term left [0, n_cbps); config invariants broken"
-    address = u + state.q
-
-    # advance the d*j remainder/quotient pair and the q-mod-s trackers
-    r = state.r + d
-    q, v, dv, dv_lo, tv = state.q, state.v, state.dv, state.dv_lo, state.tv
-    if c:
-        c.add += 1
-        c.compare += 1
-    if r >= n:
-        r -= n
-        q += 1
-        v += 1
-        if c:
-            c.sub += 1
-            c.add += 2
-            c.compare += 1
-        if v == s:
-            v, dv, dv_lo, tv = 0, 0, state.neg_ds, s  # register resets
-            if c:
-                c.select += 4
-        else:
-            dv += d
-            dv_lo += d
-            tv -= 1
-            if c:
-                c.add += 2
-                c.sub += 1
-
-    # advance the j-mod-s pair and the step counter
-    s_phase = state.s_phase + 1
-    s_base = state.s_base
-    if c:
-        c.add += 2
-        c.compare += 1
-    if s_phase == s:
-        s_phase = 0
-        s_base += s
-        if c:
-            c.select += 1
-            c.add += 1
-
-    nxt = GeneratorState(
-        cfg=cfg,
-        j=state.j + 1,
-        r=r,
-        q=q,
-        s_phase=s_phase,
-        s_base=s_base,
-        v=v,
-        dv=dv,
-        dv_lo=dv_lo,
-        tv=tv,
-        neg_ds=state.neg_ds,
-    )
-    return address, nxt
+def _tally(census: OpCensus, counts: dict[str, int]) -> None:
+    """Add counts[event] times EVENT_OPS[event] to census, for every event."""
+    for event, ops in EVENT_OPS.items():
+        for f in fields(OpCensus):
+            total = getattr(census, f.name) + counts[event] * getattr(ops, f.name)
+            setattr(census, f.name, total)
 
 
 def run(cfg: InterleaverConfig, census: OpCensus | None = None) -> AddressTable:
-    """Drive the generator over a whole block.
+    """Drive the counter scheme over a whole block.
 
     The result is elementwise identical to
     reference.build_table(cfg, Direction.DEINTERLEAVE); exactly n_cbps
-    steps are consumed. The interleave direction, when needed, is obtained
-    by inverting this table.
+    steps are taken. The interleave direction, when needed, is obtained
+    by inverting this table. When census is given, the block's operation
+    counts are added to it.
     """
-    state = init_state(cfg)
+    n, d, s = cfg.n_cbps, cfg.d, cfg.s
+    neg_ds = -(d * s)  # wired constant, the dv_lo reset value
+    r = q = v = dv = s_phase = 0
+    dv_lo, tv = neg_ds, s
+    wraps = v_resets = s_resets = 0
     addresses = []
-    for _ in range(cfg.n_cbps):
-        address, state = step(state, census)
-        addresses.append(address)
+    emit = addresses.append
+    for _ in range(n):
+        # address for the current j: u = d*m_j mod n, q = floor(d*m_j / n)
+        u = r + (dv_lo if s_phase >= tv else dv)
+        assert 0 <= u < n, "correction term left [0, n_cbps); config invariants broken"
+        emit(u + q)
+
+        # advance the d*j remainder/quotient pair and the q-mod-s trackers
+        r += d
+        if r >= n:
+            r -= n
+            q += 1
+            v += 1
+            wraps += 1
+            if v == s:
+                v, dv, dv_lo, tv = 0, 0, neg_ds, s  # register resets
+                v_resets += 1
+            else:
+                dv += d
+                dv_lo += d
+                tv -= 1
+
+        # advance the j-mod-s counter
+        s_phase += 1
+        if s_phase == s:
+            s_phase = 0
+            s_resets += 1
+
+    if census is not None:
+        counts = {
+            "step": n,
+            "wrap": wraps,
+            "v_reset": v_resets,
+            "v_advance": wraps - v_resets,
+            "s_reset": s_resets,
+        }
+        _tally(census, counts)
     return AddressTable(cfg, Direction.DEINTERLEAVE, tuple(addresses))
-
-
-def step_op_trace(state: GeneratorState) -> OpCensus:
-    """Census of one step from the given state; the state is not consumed.
-
-    div, mul, and generic_floor are structurally zero: step() contains no
-    such operation to count.
-    """
-    census = OpCensus()
-    step(state, census)
-    return census

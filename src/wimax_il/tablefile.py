@@ -10,11 +10,13 @@ bit, in index order:
     1,16
     ...
 
-The format is canonical: parsing a file and re-serializing it reproduces
-the bytes exactly, and the same table always serializes to the same bytes
-regardless of which engine produced it. Values are not range-checked at
-parse time; verification (permutation and reference checks) is the
-verify command's job.
+The format is canonical, and parse_table enforces it: text is accepted
+only if the parsed table serializes back to exactly the same bytes, so
+CRLF line endings, a missing final newline, signs, padding, underscores,
+leading zeros and extra header fields are all rejected. The same table
+always serializes to the same bytes regardless of which engine produced
+it. Values are not range-checked at parse time; verification
+(permutation and reference checks) is the verify command's job.
 """
 from __future__ import annotations
 
@@ -32,13 +34,14 @@ def serialize_table(table: AddressTable) -> str:
         f"# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}",
         f"# direction={table.direction.value}",
     ]
-    lines.extend(f"{i},{a}" for i, a in enumerate(table.map))
+    lines += [f"{i},{a}" for i, a in enumerate(table.map)]
     return "\n".join(lines) + "\n"
 
 
 def parse_table(text: str) -> AddressTable:
     """Strict parse of the canonical form; raises TableFormatError on any
-    deviation (wrong header, bad row count, out-of-order indices)."""
+    deviation (wrong header, bad row count, or any bytes that the parsed
+    table would not serialize back to)."""
     lines = text.splitlines()
     if len(lines) < 4:
         raise TableFormatError("file too short to be an address table")
@@ -69,19 +72,21 @@ def parse_table(text: str) -> AddressTable:
         raise TableFormatError(
             f"expected {cfg.n_cbps} rows, found {len(rows)}"
         )
-    addresses = []
-    for lineno, row in enumerate(rows):
-        left, sep, right = row.partition(",")
-        try:
-            index, address = int(left), int(right)
-        except ValueError as exc:
-            raise TableFormatError(f"bad row {row!r}") from exc
-        if not sep or index != lineno:
-            raise TableFormatError(
-                f"row {lineno} out of order or malformed: {row!r}"
-            )
-        addresses.append(address)
-    return AddressTable(cfg, direction, tuple(addresses))
+    try:
+        addresses = tuple(int(row.partition(",")[2]) for row in rows)
+    except ValueError as exc:
+        raise TableFormatError(f"bad row address: {exc}") from exc
+    table = AddressTable(cfg, direction, addresses)
+    canonical = serialize_table(table)
+    if canonical != text:
+        pairs = zip(canonical.splitlines(True), text.splitlines(True))
+        lineno, want, got = next(
+            (i, want, got) for i, (want, got) in enumerate(pairs, 1) if want != got
+        )
+        raise TableFormatError(
+            f"line {lineno} is not canonical: {got!r}, expected {want!r}"
+        )
+    return table
 
 
 def write_table(table: AddressTable, path: str) -> None:
@@ -90,5 +95,5 @@ def write_table(table: AddressTable, path: str) -> None:
 
 
 def read_table(path: str) -> AddressTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_table(fh.read())

@@ -104,6 +104,14 @@ def test_verify_duplicate_address_exits_1(tmp_path, capsys):
     assert main(["verify", "--table", str(path)]) == 1
 
 
+def test_verify_crlf_table_exits_1(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)])
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["verify", "--table", str(path)]) == 1
+    assert "not canonical" in capsys.readouterr().out
+
+
 def test_verify_unreadable_table_exits_1(tmp_path):
     assert main(["verify", "--table", str(tmp_path / "missing.csv")]) == 1
 

@@ -5,14 +5,10 @@ import pytest
 
 from wimax_il import (
     Direction,
-    Exhausted,
     OpCensus,
     build_table,
     deinterleave_index,
-    init_state,
     run,
-    step,
-    step_op_trace,
     validate_config,
 )
 
@@ -22,32 +18,17 @@ CFG32 = validate_config(32, 16, 1)
 CFG384 = validate_config(384, 16, 2)
 
 
-def test_reset_state_is_all_zero():
-    st = init_state(CFG384)
-    assert (st.j, st.r, st.q, st.s_phase, st.s_base, st.v, st.dv) == (0,) * 7
-
-
 def test_first_step_emits_zero():
     for cfg in ACCEPTANCE_CONFIGS:
-        address, _ = step(init_state(cfg))
-        assert address == 0
+        assert run(cfg).map[0] == 0
 
 
 def test_first_four_addresses_32():
-    st = init_state(CFG32)
-    emitted = []
-    for _ in range(4):
-        address, st = step(st)
-        emitted.append(address)
-    assert emitted == [0, 16, 1, 17]
+    assert list(run(CFG32).map[:4]) == [0, 16, 1, 17]
 
 
 def test_address_at_j25_384():
-    st = init_state(CFG384)
-    for _ in range(25):
-        address, st = step(st)
-    address, _ = step(st)
-    assert address == 1
+    assert run(CFG384).map[25] == 1
 
 
 def test_run_equals_reference_exhaustive():
@@ -57,44 +38,27 @@ def test_run_equals_reference_exhaustive():
 
 
 def test_run_consumes_exactly_one_block():
-    st = init_state(CFG32)
-    for _ in range(32):
-        _, st = step(st)
-    with pytest.raises(Exhausted):
-        step(st)
-
-
-def test_counter_invariants_every_step():
     for cfg in ACCEPTANCE_CONFIGS:
-        n, d = cfg.n_cbps, cfg.d
-        st = init_state(cfg)
-        for _ in range(n):
-            _, st = step(st)
-            assert st.q == (d * st.j) // n
-            assert st.r == d * st.j - n * st.q
-            assert 0 <= st.r < n
-            assert st.s_base + st.s_phase == st.j
-            assert 0 <= st.s_phase < cfg.s
-            assert st.v == st.q % cfg.s
-            assert st.dv == d * st.v
+        assert len(run(cfg).map) == cfg.n_cbps
 
 
 def test_every_address_matches_reference_index():
-    st = init_state(CFG384)
+    table = run(CFG384)
     for j in range(CFG384.n_cbps):
-        address, st = step(st)
-        assert address == deinterleave_index(CFG384, j)
+        assert table.map[j] == deinterleave_index(CFG384, j)
 
 
 def test_step_source_has_no_division_or_multiplication():
-    """Structural check: the step body contains no *, /, //, %, or **."""
+    """Structural check: the per-address loop of run() contains no *, /,
+    //, %, or **. The reset constant -(d*s) is computed before the loop."""
     import wimax_il.generator
 
-    tree = ast.parse(inspect.getsource(wimax_il.generator.step))
+    tree = ast.parse(inspect.getsource(wimax_il.generator.run))
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
     banned = (ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
     offenders = [
         type(node.op).__name__
-        for node in ast.walk(tree)
+        for node in ast.walk(loop)
         if isinstance(node, (ast.BinOp, ast.AugAssign))
         and isinstance(node.op, banned)
     ]
@@ -111,14 +75,29 @@ def test_census_no_division_no_multiplication():
         assert census.add >= 1
 
 
-def test_single_step_trace():
-    st = init_state(CFG32)
-    census = step_op_trace(st)
-    assert census.div == 0 and census.mul == 0
-    assert census.add >= 1
-    # tracing must not consume the state
-    address, _ = step(st)
-    assert address == 0
+@pytest.mark.parametrize(
+    "triple,expected",
+    [
+        ((32, 16, 1), OpCensus(add=192, sub=16, compare=112, select=128)),
+        ((192, 16, 1), OpCensus(add=992, sub=16, compare=592, select=448)),
+        ((384, 16, 2), OpCensus(add=1968, sub=24, compare=1168, select=608)),
+        ((576, 16, 3), OpCensus(add=2934, sub=27, compare=1744, select=788)),
+        ((768, 16, 2), OpCensus(add=3888, sub=24, compare=2320, select=1184)),
+        ((1152, 16, 3), OpCensus(add=5814, sub=27, compare=3472, select=1556)),
+    ],
+)
+def test_census_is_exact(triple, expected):
+    """Whole-block op counts for every acceptance config, pinned exactly."""
+    census = OpCensus()
+    run(validate_config(*triple), census)
+    assert census == expected
+
+
+def test_census_accumulates_across_runs():
+    census = OpCensus()
+    run(CFG32, census)
+    run(CFG32, census)
+    assert census == OpCensus(add=384, sub=32, compare=224, select=256)
 
 
 def test_census_total_is_linear():
@@ -134,11 +113,3 @@ def test_census_total_is_linear():
 
 def test_two_runs_are_identical():
     assert run(CFG384).map == run(CFG384).map
-
-
-def test_states_are_values():
-    st = init_state(CFG32)
-    step(st)
-    step(st)
-    address, _ = step(st)
-    assert address == 0  # stepping never mutates the input state

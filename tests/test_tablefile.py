@@ -79,6 +79,13 @@ def test_round_trip_arbitrary_permutations(perm):
         lambda t: t.replace("\n3,17\n", "\n3,x\n"),
         lambda t: t.replace("\n3,17\n", "\n4,17\n"),  # index out of order
         lambda t: "",
+        lambda t: t.replace("\n3,17\n", "\n3,1_7\n"),  # underscore digit
+        lambda t: t.replace("\n3,17\n", "\n3,+17\n"),  # + sign
+        lambda t: t.replace("s=1\n", "s=1 extra=1\n"),  # extra header field
+        lambda t: t.replace("ncbps=32", "ncbps=032"),  # leading zero in header
+        lambda t: t.replace("\n", "\r\n"),  # CRLF line endings
+        lambda t: t[:-1],  # missing final newline
+        lambda t: t.replace("\n3,17\n", "\n3, 17\n"),  # space-padded value
     ],
 )
 def test_parse_rejects_malformed(mutation):
