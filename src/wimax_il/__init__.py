@@ -6,25 +6,17 @@ with a CLI front end (wimax-il).
 """
 from .burst import (
     BurstReport,
-    ErrorMask,
-    MaskDomain,
     SweepResult,
     burst_sweep,
-    deinterleave_errors,
-    inject_burst,
-    max_run_length,
-    min_pairwise_spacing,
 )
 from .config import (
     PAPER_REFERENCE,
     PRESETS,
     InterleaverConfig,
-    ModulationScheme,
     PaperReference,
     parse_config_json,
     parse_config_text,
     preset,
-    s_of,
     validate_config,
 )
 from .cost_model import (
@@ -42,7 +34,6 @@ from .cost_model import (
 from .errors import (
     CyclicGraph,
     DivisibilityError,
-    DomainMismatch,
     IndexOutOfRange,
     InterleaverError,
     LengthMismatch,

@@ -1,17 +1,18 @@
 """Burst-error dispersal analysis for the deinterleaver.
 
-A channel burst marks consecutive received positions erroneous; mapping
-the marked positions back through the deinterleaver shows how far apart
-they land in the original bit order. Runs of consecutive errors longer
-than RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
+A channel burst marks b consecutive received positions erroneous. The
+deinterleave map is tabulated once per sweep; the burst starting at
+channel position start then lands on the original positions
+dmap[start:start + b], and window_stats scores them in one pass over
+their sorted order. Runs of consecutive errors longer than
+RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .config import InterleaverConfig
-from .errors import DomainMismatch, LengthMismatch, RangeError
+from .errors import RangeError
 from .reference import deinterleave_index
 
 # Correction limit as reported for the WiMAX outer code: 8 consecutive
@@ -26,68 +27,24 @@ RS_CRITERION_NOTE = (
 )
 
 
-class MaskDomain(str, enum.Enum):
-    CHANNEL = "channel"  # post-interleave positions, as received
-    ORIGINAL = "original"  # pre-interleave positions
-
-
-@dataclass(frozen=True)
-class ErrorMask:
-    length: int
-    positions: frozenset[int]
-    domain: MaskDomain
-
-    def __post_init__(self) -> None:
-        if any(not 0 <= p < self.length for p in self.positions):
-            raise RangeError("error positions outside [0, length)")
-
-
-def inject_burst(n: int, start: int, b: int) -> ErrorMask:
-    """Channel-domain mask with errors at {start, ..., start+b-1}.
-
-    Bursts never wrap around the block boundary: a burst belongs to one
-    transmitted symbol, so start + b must not exceed n.
-    """
-    if b < 1:
-        raise RangeError(f"burst length must be >= 1, got {b}")
-    if start < 0 or start + b > n:
-        raise RangeError(
-            f"burst [{start}, {start + b}) does not fit in a block of {n}"
-        )
-    return ErrorMask(n, frozenset(range(start, start + b)), MaskDomain.CHANNEL)
-
-
-def deinterleave_errors(cfg: InterleaverConfig, mask: ErrorMask) -> ErrorMask:
-    """Map channel-domain error positions back to original bit positions."""
-    if mask.domain is not MaskDomain.CHANNEL:
-        raise DomainMismatch("mask is already in the original domain")
-    if mask.length != cfg.n_cbps:
-        raise LengthMismatch(
-            f"mask length {mask.length} does not match n_cbps {cfg.n_cbps}"
-        )
-    mapped = frozenset(deinterleave_index(cfg, j) for j in mask.positions)
-    return ErrorMask(mask.length, mapped, MaskDomain.ORIGINAL)
-
-
-def max_run_length(mask: ErrorMask) -> int:
-    """Length of the longest run of consecutive indices; 0 when empty."""
-    if not mask.positions:
-        return 0
-    ordered = sorted(mask.positions)
-    best = cur = 1
+def window_stats(ordered: list[int]) -> tuple[int, int]:
+    """(max_run_length, min_pairwise_spacing) of sorted, distinct, non-empty
+    positions: the longest run of consecutive indices, and the smallest gap
+    between neighbours (0 when there is only one position, no pair to
+    measure)."""
+    best = run = 1
+    gap = ordered[-1] - ordered[0]  # no neighbour gap exceeds the span
     for prev, here in zip(ordered, ordered[1:]):
-        cur = cur + 1 if here == prev + 1 else 1
-        best = max(best, cur)
-    return best
-
-
-def min_pairwise_spacing(mask: ErrorMask) -> int:
-    """Smallest gap between two distinct error positions; 0 when there are
-    fewer than two positions (no pair to measure)."""
-    if len(mask.positions) < 2:
-        return 0
-    ordered = sorted(mask.positions)
-    return min(b - a for a, b in zip(ordered, ordered[1:]))
+        step = here - prev
+        if step == 1:
+            run += 1
+            if run > best:
+                best = run
+        else:
+            run = 1
+        if step < gap:
+            gap = step
+    return best, gap
 
 
 @dataclass(frozen=True)
@@ -116,20 +73,11 @@ class SweepResult:
     worst_max_run_length: int
 
 
-def _report_for(cfg: InterleaverConfig, start: int, b: int) -> BurstReport:
-    mapped = deinterleave_errors(cfg, inject_burst(cfg.n_cbps, start, b))
-    run = max_run_length(mapped)
-    return BurstReport(
-        burst_length=b,
-        start_position=start,
-        max_run_length=run,
-        min_pairwise_spacing=min_pairwise_spacing(mapped),
-        rs_correctable=run <= RS_MAX_CORRECTABLE_RUN,
-    )
-
-
 def burst_sweep(cfg: InterleaverConfig, b: int) -> SweepResult:
     """One report per admissible start position (exhaustive).
+
+    Bursts never wrap around the block boundary: a burst belongs to one
+    transmitted symbol, so the starts are 0 .. n_cbps - b.
 
     For s = 1 and b <= n_cbps/d the worst max_run_length is always 1: two
     channel positions land adjacent in the original order only if they are
@@ -139,12 +87,22 @@ def burst_sweep(cfg: InterleaverConfig, b: int) -> SweepResult:
     """
     if not 1 <= b <= cfg.n_cbps:
         raise RangeError(f"burst length must be in [1, {cfg.n_cbps}], got {b}")
-    reports = tuple(
-        _report_for(cfg, start, b) for start in range(cfg.n_cbps - b + 1)
-    )
+    dmap = [deinterleave_index(cfg, j) for j in range(cfg.n_cbps)]
+    reports = []
+    for start in range(cfg.n_cbps - b + 1):
+        run, gap = window_stats(sorted(dmap[start:start + b]))
+        reports.append(
+            BurstReport(
+                burst_length=b,
+                start_position=start,
+                max_run_length=run,
+                min_pairwise_spacing=gap,
+                rs_correctable=run <= RS_MAX_CORRECTABLE_RUN,
+            )
+        )
     return SweepResult(
         cfg=cfg,
         burst_length=b,
-        reports=reports,
+        reports=tuple(reports),
         worst_max_run_length=max(r.max_run_length for r in reports),
     )

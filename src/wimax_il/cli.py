@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -22,8 +21,6 @@ from .cost_model import (
 from .errors import InterleaverError, RangeError, TableFormatError
 from .reference import AddressTable, Direction, build_table, invert_table
 from .tablefile import read_table, serialize_table
-
-UNIT_DELAY_ENV = "WIMAX_IL_UNIT_DELAY_NS"
 
 BURST_FORMAT_LINE = "# wimax-il burst report v1"
 
@@ -202,17 +199,8 @@ def cmd_burst(
 def cmd_tradeoff(
     cfg: InterleaverConfig,
     out: str | None = None,
-    unit_delay_ns: float | None = None,
+    unit_delay_ns: float = DEFAULT_UNIT_DELAY_NS,
 ) -> CommandOutcome:
-    if unit_delay_ns is None:
-        raw = os.environ.get(UNIT_DELAY_ENV)
-        if raw is not None:
-            try:
-                unit_delay_ns = float(raw)
-            except ValueError as exc:
-                raise RangeError(f"{UNIT_DELAY_ENV}={raw!r} is not a number") from exc
-        else:
-            unit_delay_ns = DEFAULT_UNIT_DELAY_NS
     report = compare_variants(cfg, unit_delay_ns)
 
     checks = [
@@ -319,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trade.add_argument(
         "--unit-delay-ns",
         type=float,
-        default=None,
-        help=f"combinational unit delay (default {DEFAULT_UNIT_DELAY_NS}; "
-        f"env {UNIT_DELAY_ENV} overrides)",
+        default=DEFAULT_UNIT_DELAY_NS,
+        help=f"combinational unit delay (default {DEFAULT_UNIT_DELAY_NS})",
     )
 
     return parser

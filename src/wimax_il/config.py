@@ -7,7 +7,6 @@ two), and the constellation-significance parameter s (1 for QPSK, 2 for
 """
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import asdict, dataclass
 
@@ -16,17 +15,6 @@ from .errors import DivisibilityError, RangeError
 ALLOWED_D = (12, 16)
 ALLOWED_S = (1, 2, 3)
 DEFAULT_D = 16
-
-
-class ModulationScheme(enum.Enum):
-    QPSK = 1
-    QAM16 = 2
-    QAM64 = 3
-
-
-def s_of(scheme: ModulationScheme) -> int:
-    """Bits of constellation significance: 1, 2, 3 for QPSK/16-QAM/64-QAM."""
-    return scheme.value
 
 
 @dataclass(frozen=True)

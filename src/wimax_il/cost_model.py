@@ -141,9 +141,10 @@ def width_bits(cfg: InterleaverConfig) -> int:
 
 
 def _common_counters(g: DatapathGraph) -> None:
-    """Registers, constants, and the narrow dedicated counters shared by
-    both variants (q-mod-s trackers and the j-mod-s pair)."""
-    for reg in ("r", "q", "v", "dv", "dv_lo", "tv", "s_phase", "s_base", "addr_out"):
+    """Registers, constants, the narrow dedicated counters shared by both
+    variants (q-mod-s trackers and the j-mod-s counter), and the dv/dv_lo
+    correction select."""
+    for reg in ("r", "q", "v", "dv", "dv_lo", "tv", "s_phase", "addr_out"):
         g.add(reg, NodeKind.REGISTER)
     for const in ("const_d", "const_one", "const_s", "const_neg_sd", "const_n", "const_zero"):
         g.add(const, NodeKind.CONSTANT)
@@ -159,12 +160,14 @@ def _common_counters(g: DatapathGraph) -> None:
     g.add("sub_tv", NodeKind.SUBTRACTOR, "tv", "const_one")
     g.add("mux_tv", NodeKind.MUX, "sub_tv", "const_s", "cmp_v")
 
-    # s_phase / s_base pair
+    # s_phase = j mod s
     g.add("add_sphase", NodeKind.ADDER, "s_phase", "const_one")
     g.add("cmp_sphase", NodeKind.COMPARATOR, "add_sphase", "const_s")
     g.add("mux_sphase", NodeKind.MUX, "add_sphase", "const_zero", "cmp_sphase")
-    g.add("add_sbase", NodeKind.ADDER, "s_base", "const_s")
-    g.add("mux_sbase", NodeKind.MUX, "s_base", "add_sbase", "cmp_sphase")
+
+    # correction term: dv_lo once s_phase reaches tv, dv before
+    g.add("cmp_de", NodeKind.COMPARATOR, "s_phase", "tv")
+    g.add("mux_de", NodeKind.MUX, "dv", "dv_lo", "cmp_de")
 
 
 def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGraph:
@@ -179,8 +182,6 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
 
     if variant is Variant.SPEED:
         # dedicated wide units; pipeline register after the corrected residue
-        g.add("cmp_de", NodeKind.COMPARATOR, "s_phase", "tv")
-        g.add("mux_de", NodeKind.MUX, "dv", "dv_lo", "cmp_de")
         g.add("add_u", NodeKind.ADDER, "r", "mux_de")
         g.add("pipe_u", NodeKind.REGISTER, "add_u")
         g.add("add_k", NodeKind.ADDER, "pipe_u", "q")
@@ -200,12 +201,10 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
     else:
         # one shared ALU behind operand mux trees; round-robin over the
         # r-update, the u computation, and the output address
-        g.add("mux_de", NodeKind.MUX, "dv", "dv_lo")
         g.add("mux_a1", NodeKind.MUX, "r", "q")
-        g.add("mux_a2", NodeKind.MUX, "mux_a1", "s_base")
         g.add("mux_b1", NodeKind.MUX, "mux_de", "const_d")
         g.add("mux_b2", NodeKind.MUX, "mux_b1", "const_n")
-        g.add("alu", NodeKind.ADDER, "mux_a2", "mux_b2")
+        g.add("alu", NodeKind.ADDER, "mux_a1", "mux_b2")
         g.add("mux_thr", NodeKind.MUX, "const_n", "const_s")
         g.add("cmp_shared", NodeKind.COMPARATOR, "alu", "mux_thr")
         g.add("mux_wr", NodeKind.MUX, "alu", "const_zero", "cmp_shared")
@@ -231,7 +230,6 @@ def _wire_registers(g: DatapathGraph, *, r: str, q: str, addr_out: str) -> None:
         "dv_lo": "mux_dvlo",
         "tv": "mux_tv",
         "s_phase": "mux_sphase",
-        "s_base": "mux_sbase",
         "addr_out": addr_out,
     }
     for reg, src in updates.items():

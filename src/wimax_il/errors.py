@@ -22,15 +22,11 @@ class NotAPermutation(InterleaverError, ValueError):
 
 
 class LengthMismatch(InterleaverError, ValueError):
-    """Block or mask length does not match the configuration."""
+    """Block length does not match the configuration."""
 
 
 class CyclicGraph(InterleaverError, ValueError):
     """A datapath graph contains a combinational cycle."""
-
-
-class DomainMismatch(InterleaverError, ValueError):
-    """An error mask is in the wrong domain for the requested operation."""
 
 
 class TableFormatError(InterleaverError, ValueError):

@@ -1,89 +1,77 @@
 import pytest
 
 from wimax_il import (
-    DomainMismatch,
-    ErrorMask,
-    LengthMismatch,
-    MaskDomain,
     RangeError,
     burst_sweep,
-    deinterleave_errors,
-    inject_burst,
-    max_run_length,
-    min_pairwise_spacing,
+    deinterleave_index,
+    preset,
     validate_config,
 )
-from wimax_il.burst import RS_MAX_CORRECTABLE_RUN
+from wimax_il.burst import RS_MAX_CORRECTABLE_RUN, window_stats
 
 CFG32 = validate_config(32, 16, 1)
 CFG192 = validate_config(192, 16, 1)
 
 
-def test_inject_basic():
-    assert inject_burst(32, 0, 2).positions == {0, 1}
-    assert inject_burst(32, 30, 2).positions == {30, 31}
+def brute_force_rows(cfg, b):
+    """Rows of a b-burst sweep, computed the long way: map each burst
+    position back one at a time, then measure runs and gaps naively."""
+    rows = []
+    for start in range(cfg.n_cbps - b + 1):
+        hit = sorted({deinterleave_index(cfg, j) for j in range(start, start + b)})
+        longest = 0
+        for i in range(len(hit)):
+            length = 1
+            while i + length < len(hit) and hit[i + length] == hit[i] + length:
+                length += 1
+            longest = max(longest, length)
+        spacing = min((y - x for x, y in zip(hit, hit[1:])), default=0)
+        rows.append((start, b, longest, spacing, int(longest <= RS_MAX_CORRECTABLE_RUN)))
+    return rows
 
 
-def test_inject_rejects_wraparound_and_empty():
-    with pytest.raises(RangeError):
-        inject_burst(32, 31, 2)
-    with pytest.raises(RangeError):
-        inject_burst(32, 0, 0)
-    with pytest.raises(RangeError):
-        inject_burst(32, -1, 2)
+@pytest.mark.parametrize(
+    "cfg,max_b",
+    [
+        (CFG32, CFG32.n_cbps),
+        (validate_config(144, 12, 1), 144),
+        (preset("qpsk"), 16),
+        (preset("qam16"), 16),
+        (preset("qam64"), 16),
+        (validate_config(768, 16, 2), 16),
+    ],
+    ids=["32_16_1", "144_12_1", "qpsk", "qam16", "qam64", "768_16_2"],
+)
+def test_sweep_rows_equal_brute_force(cfg, max_b):
+    for b in range(1, max_b + 1):
+        rows = [r.as_row() for r in burst_sweep(cfg, b).reports]
+        assert rows == brute_force_rows(cfg, b), (cfg, b)
 
 
 def test_deinterleave_errors_worked_values():
-    mapped = deinterleave_errors(CFG32, inject_burst(32, 0, 2))
-    assert mapped.positions == {0, 16}
-    assert mapped.domain is MaskDomain.ORIGINAL
-
-    mapped = deinterleave_errors(CFG32, inject_burst(32, 0, 3))
-    assert mapped.positions == {0, 16, 1}
-    assert max_run_length(mapped) == 2
-
-
-def test_deinterleave_errors_empty_mask():
-    empty = ErrorMask(32, frozenset(), MaskDomain.CHANNEL)
-    assert deinterleave_errors(CFG32, empty).positions == frozenset()
-
-
-def test_deinterleave_errors_rejects_wrong_domain():
-    original = ErrorMask(32, frozenset({1}), MaskDomain.ORIGINAL)
-    with pytest.raises(DomainMismatch):
-        deinterleave_errors(CFG32, original)
-
-
-def test_deinterleave_errors_rejects_wrong_length():
-    mask = inject_burst(64, 0, 2)
-    with pytest.raises(LengthMismatch):
-        deinterleave_errors(CFG32, mask)
+    # (32,16,1): channel errors at 0, 1, 2 land on original bits 0, 16, 1
+    pair = burst_sweep(CFG32, 2).reports[0]
+    assert (pair.max_run_length, pair.min_pairwise_spacing) == (1, 16)
+    assert burst_sweep(CFG32, 3).reports[0].max_run_length == 2
 
 
 def test_cardinality_is_preserved():
-    for b in (1, 5, 17, 32):
-        mask = inject_burst(32, 0, b)
-        assert len(deinterleave_errors(CFG32, mask).positions) == b
+    # distinct channel bits land on distinct original bits: every gap >= 1
+    for b in (2, 5, 17, 32):
+        assert all(r.min_pairwise_spacing >= 1 for r in burst_sweep(CFG32, b).reports)
 
 
 @pytest.mark.parametrize(
     "positions,expected",
-    [({0, 16}, 1), ({0, 1, 16}, 2), (set(), 0), ({5}, 1), ({3, 4, 5, 9, 10}, 3)],
+    [([0, 16], 1), ([0, 1, 16], 2), ([0, 2, 4, 5], 2), ([5], 1), ([3, 4, 5, 9, 10], 3)],
 )
 def test_max_run_length(positions, expected):
-    mask = ErrorMask(32, frozenset(positions), MaskDomain.ORIGINAL)
-    assert max_run_length(mask) == expected
+    assert window_stats(positions)[0] == expected
 
 
 def test_min_pairwise_spacing():
-    mask = ErrorMask(32, frozenset({0, 16, 19}), MaskDomain.ORIGINAL)
-    assert min_pairwise_spacing(mask) == 3
-    assert min_pairwise_spacing(ErrorMask(32, frozenset({7}), MaskDomain.ORIGINAL)) == 0
-
-
-def test_mask_rejects_out_of_range_positions():
-    with pytest.raises(RangeError):
-        ErrorMask(32, frozenset({40}), MaskDomain.CHANNEL)
+    assert window_stats([0, 16, 19])[1] == 3
+    assert window_stats([7])[1] == 0
 
 
 def test_sweep_dispersal_guarantee_s1():
@@ -132,11 +120,9 @@ def test_sweep_rejects_bad_lengths():
 
 def test_rs_correctable_thresholds():
     assert RS_MAX_CORRECTABLE_RUN == 8
-    # b=9 straight through an identity-like view: build masks directly
-    short = ErrorMask(192, frozenset(range(8)), MaskDomain.ORIGINAL)
-    long = ErrorMask(192, frozenset(range(9)), MaskDomain.ORIGINAL)
-    assert max_run_length(short) <= RS_MAX_CORRECTABLE_RUN
-    assert max_run_length(long) > RS_MAX_CORRECTABLE_RUN
+    # runs fed straight in, without a deinterleaver in between
+    assert window_stats(list(range(8)))[0] <= RS_MAX_CORRECTABLE_RUN
+    assert window_stats(list(range(9)))[0] > RS_MAX_CORRECTABLE_RUN
 
 
 def test_reports_carry_rs_flag():

@@ -175,20 +175,12 @@ def test_tradeoff_text_and_json(tmp_path, capsys):
     assert all(row["pass"] for row in payload["comparison_check"])
 
 
-def test_tradeoff_unit_delay_env(monkeypatch, capsys):
-    monkeypatch.setenv("WIMAX_IL_UNIT_DELAY_NS", "2.0")
-    assert main(["tradeoff", "--preset", "qpsk"]) == 0
+def test_tradeoff_unit_delay_env(capsys):
+    assert main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", "2.0"]) == 0
     slowed = capsys.readouterr().out
     assert "unit delay 2.0 ns" in slowed
 
-    monkeypatch.setenv("WIMAX_IL_UNIT_DELAY_NS", "banana")
-    assert main(["tradeoff", "--preset", "qpsk"]) == 2
-
-
-def test_tradeoff_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv("WIMAX_IL_UNIT_DELAY_NS", "2.0")
-    assert main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", "0.5"]) == 0
-    assert "unit delay 0.5 ns" in capsys.readouterr().out
+    assert main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", "0"]) == 2
 
 
 def test_unknown_subcommand_exits_2():

@@ -6,25 +6,12 @@ from wimax_il import (
     PAPER_REFERENCE,
     PRESETS,
     DivisibilityError,
-    ModulationScheme,
     RangeError,
     parse_config_json,
     parse_config_text,
     preset,
-    s_of,
     validate_config,
 )
-
-
-def test_s_of_mapping():
-    assert s_of(ModulationScheme.QPSK) == 1
-    assert s_of(ModulationScheme.QAM16) == 2
-    assert s_of(ModulationScheme.QAM64) == 3
-
-
-def test_s_of_injective():
-    values = {s_of(m) for m in ModulationScheme}
-    assert values == {1, 2, 3}
 
 
 @pytest.mark.parametrize(

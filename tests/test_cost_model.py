@@ -79,6 +79,19 @@ def test_variant_orderings_hold_for_every_config():
         assert speed.fmax_proxy_mhz > area.fmax_proxy_mhz
 
 
+def test_every_node_feeds_addr_out():
+    for cfg in ACCEPTANCE_CONFIGS:
+        for variant in Variant:
+            g = build_datapath(cfg, variant)
+            live, frontier = set(), ["addr_out"]
+            while frontier:
+                name = frontier.pop()
+                if name not in live:
+                    live.add(name)
+                    frontier.extend(g.preds[name])
+            assert set(g.nodes) - live == set(), (cfg, variant)
+
+
 def test_node_count_is_config_independent():
     small = build_datapath(validate_config(32, 16, 1), Variant.SPEED)
     large = build_datapath(validate_config(1152, 16, 3), Variant.SPEED)
