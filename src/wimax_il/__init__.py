@@ -14,8 +14,6 @@ from .config import (
     PRESETS,
     InterleaverConfig,
     PaperReference,
-    parse_config_json,
-    parse_config_text,
     preset,
     validate_config,
 )

@@ -1,4 +1,4 @@
-"""Burst-error dispersal analysis for the deinterleaver.
+"""Burst-error dispersal analysis for the deinterleaver, and its report.
 
 A channel burst marks b consecutive received positions erroneous. The
 deinterleave map is tabulated once per sweep; the burst starting at
@@ -6,10 +6,16 @@ channel position start then lands on the original positions
 dmap[start:start + b], and window_stats scores them in one pass over
 their sorted order. Runs of consecutive errors longer than
 RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
+
+The report is written here too: summary_lines for stdout, render_csv and
+render_json for the files. COLUMNS names the per-start fields once, in
+BurstReport's field order, for the CSV header, its rows and the JSON keys.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import InterleaverConfig
 from .errors import RangeError
@@ -25,6 +31,10 @@ RS_CRITERION_NOTE = (
     "RS code really corrects 8 symbols, the bit criterion is the "
     "published simplification"
 )
+
+FORMAT_LINE = "# wimax-il burst report v1"
+COLUMNS = ("start", "b", "max_run", "min_spacing", "rs_correctable")
+_CSV_ROW = ",".join(["%d"] * len(COLUMNS))  # %d writes the bool as 1/0
 
 
 def window_stats(ordered: list[int]) -> tuple[int, int]:
@@ -47,22 +57,14 @@ def window_stats(ordered: list[int]) -> tuple[int, int]:
     return best, gap
 
 
-@dataclass(frozen=True)
-class BurstReport:
-    burst_length: int
+class BurstReport(NamedTuple):
+    """One burst start; the fields are in COLUMNS order."""
+
     start_position: int
+    burst_length: int
     max_run_length: int
     min_pairwise_spacing: int
     rs_correctable: bool
-
-    def as_row(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.start_position,
-            self.burst_length,
-            self.max_run_length,
-            self.min_pairwise_spacing,
-            int(self.rs_correctable),
-        )
 
 
 @dataclass(frozen=True)
@@ -91,18 +93,59 @@ def burst_sweep(cfg: InterleaverConfig, b: int) -> SweepResult:
     reports = []
     for start in range(cfg.n_cbps - b + 1):
         run, gap = window_stats(sorted(dmap[start:start + b]))
-        reports.append(
-            BurstReport(
-                burst_length=b,
-                start_position=start,
-                max_run_length=run,
-                min_pairwise_spacing=gap,
-                rs_correctable=run <= RS_MAX_CORRECTABLE_RUN,
-            )
-        )
+        reports.append(BurstReport(start, b, run, gap, run <= RS_MAX_CORRECTABLE_RUN))
     return SweepResult(
         cfg=cfg,
         burst_length=b,
         reports=tuple(reports),
         worst_max_run_length=max(r.max_run_length for r in reports),
     )
+
+
+def summary_lines(cfg: InterleaverConfig, sweeps: list[SweepResult]) -> list[str]:
+    """The worst run per burst length, then the s=1 guarantee over the
+    swept lengths it covers (b <= n_cbps/d)."""
+    lines = []
+    for sweep in sweeps:
+        worst = sweep.worst_max_run_length
+        lines.append(
+            f"b={sweep.burst_length}: worst max_run_length={worst} over "
+            f"{len(sweep.reports)} starts, "
+            f"rs_correctable={'yes' if worst <= RS_MAX_CORRECTABLE_RUN else 'NO'}"
+        )
+    guarded = [s for s in sweeps if s.burst_length <= cfg.rows]
+    if cfg.s == 1 and guarded:
+        holds = all(s.worst_max_run_length == 1 for s in guarded)
+        lines.append(
+            f"s=1 dispersal guarantee (b <= {cfg.rows} scatters every "
+            f"burst to isolated bits): {'holds' if holds else 'VIOLATED'}"
+        )
+    return lines
+
+
+def render_csv(cfg: InterleaverConfig, sweeps: list[SweepResult]) -> str:
+    lines = [
+        FORMAT_LINE,
+        f"# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}",
+        f"# columns: {','.join(COLUMNS)}",
+        f"# note: {RS_CRITERION_NOTE}",
+    ]
+    for sweep in sweeps:
+        lines.extend(_CSV_ROW % r for r in sweep.reports)
+    return "\n".join(lines) + "\n"
+
+
+def render_json(cfg: InterleaverConfig, sweeps: list[SweepResult]) -> str:
+    payload = {
+        "config": cfg.as_dict(),
+        "rs_criterion_note": RS_CRITERION_NOTE,
+        "sweeps": [
+            {
+                "b": sweep.burst_length,
+                "worst_max_run_length": sweep.worst_max_run_length,
+                "reports": [dict(zip(COLUMNS, r)) for r in sweep.reports],
+            }
+            for sweep in sweeps
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"

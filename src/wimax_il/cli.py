@@ -6,29 +6,27 @@ Verification commands never exit 0 when any check fails.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 
 from . import burst as burst_mod
 from . import generator
 from .config import PRESETS, InterleaverConfig, preset, validate_config
-from .cost_model import (
-    DEFAULT_UNIT_DELAY_NS,
-    compare_variants,
-    reduction_check,
-)
+from .cost_model import DEFAULT_UNIT_DELAY_NS, compare_variants
 from .errors import InterleaverError, RangeError, TableFormatError
 from .reference import AddressTable, Direction, build_table, invert_table
 from .tablefile import read_table, serialize_table
-
-BURST_FORMAT_LINE = "# wimax-il burst report v1"
 
 
 @dataclass
 class CommandOutcome:
     exit_code: int
     summary: str
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _engine_table(
@@ -52,8 +50,7 @@ def cmd_gen(
     text = serialize_table(table)
     if out is None:
         return CommandOutcome(0, text.rstrip("\n"))
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write(out, text)
     return CommandOutcome(
         0,
         f"wrote {cfg.n_cbps}-row {direction.value} table ({engine} engine) to {out}",
@@ -117,43 +114,6 @@ def cmd_verify(
     return CommandOutcome(0 if all(oks) else 1, "\n".join(rows))
 
 
-def _burst_csv(cfg: InterleaverConfig, sweeps: list[burst_mod.SweepResult]) -> str:
-    lines = [
-        BURST_FORMAT_LINE,
-        f"# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}",
-        "# columns: start,b,max_run,min_spacing,rs_correctable",
-        f"# note: {burst_mod.RS_CRITERION_NOTE}",
-    ]
-    for sweep in sweeps:
-        lines.extend(",".join(str(x) for x in r.as_row()) for r in sweep.reports)
-    return "\n".join(lines) + "\n"
-
-
-def _burst_json(cfg: InterleaverConfig, sweeps: list[burst_mod.SweepResult]) -> str:
-    payload = {
-        "config": {"ncbps": cfg.n_cbps, "d": cfg.d, "s": cfg.s},
-        "rs_criterion_note": burst_mod.RS_CRITERION_NOTE,
-        "sweeps": [
-            {
-                "b": sweep.burst_length,
-                "worst_max_run_length": sweep.worst_max_run_length,
-                "reports": [
-                    {
-                        "start": r.start_position,
-                        "b": r.burst_length,
-                        "max_run": r.max_run_length,
-                        "min_spacing": r.min_pairwise_spacing,
-                        "rs_correctable": r.rs_correctable,
-                    }
-                    for r in sweep.reports
-                ],
-            }
-            for sweep in sweeps
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def cmd_burst(
     cfg: InterleaverConfig,
     b: int | None,
@@ -167,31 +127,12 @@ def cmd_burst(
     if not lengths:
         raise RangeError("--sweep-max must be at least 1")
     sweeps = [burst_mod.burst_sweep(cfg, length) for length in lengths]
-
-    lines = []
-    for sweep in sweeps:
-        worst = sweep.worst_max_run_length
-        lines.append(
-            f"b={sweep.burst_length}: worst max_run_length={worst} over "
-            f"{len(sweep.reports)} starts, "
-            f"rs_correctable={'yes' if worst <= burst_mod.RS_MAX_CORRECTABLE_RUN else 'NO'}"
-        )
-    if cfg.s == 1:
-        guarded = [s for s in sweeps if s.burst_length <= cfg.rows]
-        if guarded:
-            holds = all(s.worst_max_run_length == 1 for s in guarded)
-            lines.append(
-                f"s=1 dispersal guarantee (b <= {cfg.rows} scatters every "
-                f"burst to isolated bits): {'holds' if holds else 'VIOLATED'}"
-            )
-
+    lines = burst_mod.summary_lines(cfg, sweeps)
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_burst_csv(cfg, sweeps))
+        _write(out, burst_mod.render_csv(cfg, sweeps))
         lines.append(f"wrote CSV report to {out}")
     if json_out:
-        with open(json_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_burst_json(cfg, sweeps))
+        _write(json_out, burst_mod.render_json(cfg, sweeps))
         lines.append(f"wrote JSON report to {json_out}")
     return CommandOutcome(0, "\n".join(lines))
 
@@ -202,39 +143,11 @@ def cmd_tradeoff(
     unit_delay_ns: float = DEFAULT_UNIT_DELAY_NS,
 ) -> CommandOutcome:
     report = compare_variants(cfg, unit_delay_ns)
-
-    checks = [
-        (
-            "speed depth < area depth",
-            report.speed.critical_path_depth < report.area.critical_path_depth,
-        ),
-        (
-            "speed registers = area registers + 1",
-            report.speed.register_count == report.area.register_count + 1,
-        ),
-    ]
-    rows = reduction_check(report.paper)
-
-    lines = [report.render_text(), "", "model ordering checks"]
-    lines += [f"  {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
-    lines.append("comparison-table arithmetic check (tolerance 0.1)")
-    lines += [
-        f"  {name:<12} recomputed {got:+8.2f}  printed {want:+8.2f}  "
-        f"{'PASS' if ok else 'FAIL'}"
-        for name, got, want, ok in rows
-    ]
-
-    all_ok = all(ok for _, ok in checks) and all(ok for *_, ok in rows)
+    lines = [report.render_text()]
     if out:
-        payload = report.as_dict()
-        payload["comparison_check"] = [
-            {"name": name, "recomputed": got, "printed": want, "pass": ok}
-            for name, got, want, ok in rows
-        ]
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _write(out, report.render_json())
         lines.append(f"wrote JSON report to {out}")
-    return CommandOutcome(0 if all_ok else 1, "\n".join(lines))
+    return CommandOutcome(0 if report.ok else 1, "\n".join(lines))
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:

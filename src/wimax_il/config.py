@@ -7,7 +7,6 @@ two), and the constellation-significance parameter s (1 for QPSK, 2 for
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from .errors import DivisibilityError, RangeError
@@ -16,13 +15,17 @@ ALLOWED_D = (12, 16)
 ALLOWED_S = (1, 2, 3)
 DEFAULT_D = 16
 
+# Largest accepted block: a bound on the time and memory one command can ask
+# for, far above the blocks in use (at most 2304 bits), not a PHY constant.
+MAX_NCBPS = 65536
+
 
 @dataclass(frozen=True)
 class InterleaverConfig:
     """Validated (n_cbps, d, s) triple; immutable once constructed.
 
     Invariants enforced at construction:
-      d in {12, 16}; s in {1, 2, 3}; n_cbps >= 2*d;
+      d in {12, 16}; s in {1, 2, 3}; 2*d <= n_cbps <= MAX_NCBPS;
       d | n_cbps; s | (n_cbps / d).
 
     The last constraint keeps the mod-s significance groups aligned with
@@ -41,6 +44,8 @@ class InterleaverConfig:
             raise RangeError(f"s must be one of {ALLOWED_S}, got {s}")
         if n < 2 * d:
             raise RangeError(f"n_cbps must be at least 2*d = {2 * d}, got {n}")
+        if n > MAX_NCBPS:
+            raise RangeError(f"n_cbps must be at most {MAX_NCBPS}, got {n}")
         if n % d != 0:
             raise DivisibilityError(f"d = {d} does not divide n_cbps = {n}")
         if (n // d) % s != 0:
@@ -56,41 +61,19 @@ class InterleaverConfig:
         """Plain-text triple "Ncbps,d,s"."""
         return f"{self.n_cbps},{self.d},{self.s}"
 
-    def as_json(self) -> str:
-        return json.dumps({"ncbps": self.n_cbps, "d": self.d, "s": self.s})
+    def as_dict(self) -> dict:
+        """The "config" object of the JSON reports."""
+        return {"ncbps": self.n_cbps, "d": self.d, "s": self.s}
 
 
 def validate_config(n_cbps: int, d: int, s: int) -> InterleaverConfig:
     """Return an immutable config iff every invariant holds.
 
-    Raises RangeError for domain violations (d, s, n_cbps too small) and
+    Raises RangeError for domain violations (d, s, n_cbps out of range) and
     DivisibilityError when d does not divide n_cbps or s does not divide
     the row count.
     """
     return InterleaverConfig(n_cbps, d, s)
-
-
-def parse_config_text(text: str) -> InterleaverConfig:
-    """Parse the "Ncbps,d,s" triple form; round-trips with as_text()."""
-    parts = text.strip().split(",")
-    if len(parts) != 3:
-        raise RangeError(f"expected 'Ncbps,d,s', got {text!r}")
-    try:
-        n, d, s = (int(p) for p in parts)
-    except ValueError as exc:
-        raise RangeError(f"non-integer field in {text!r}") from exc
-    return validate_config(n, d, s)
-
-
-def parse_config_json(text: str) -> InterleaverConfig:
-    """Parse the {"ncbps":…, "d":…, "s":…} form; round-trips with as_json()."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RangeError(f"invalid JSON config: {exc}") from exc
-    if not isinstance(obj, dict) or set(obj) != {"ncbps", "d", "s"}:
-        raise RangeError("JSON config must have exactly the keys ncbps, d, s")
-    return validate_config(obj["ncbps"], obj["d"], obj["s"])
 
 
 # Default block sizes per modulation, d=16. The address math is generic in

@@ -16,10 +16,16 @@ choices; every report labels them as structural estimates and carries the
 published synthesis figures separately. Absolute LUT counts are not
 claimed to match the published ones; only the orderings (speed uses one
 more register, area has the longer critical path) are asserted.
+
+compare_variants returns the whole trade-off report (estimates, deltas,
+published figures, ordering checks and the comparison-table arithmetic
+check); TradeoffReport renders it as text and JSON, and its ok flag is the
+tradeoff command's verdict.
 """
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import asdict, dataclass, field
 
 from .config import PAPER_REFERENCE, InterleaverConfig, PaperReference
@@ -32,6 +38,16 @@ from .errors import CyclicGraph, RangeError
 LUT_PER_BIT = {"adder": 1.0, "subtractor": 1.0, "comparator": 1.0, "mux": 0.5}
 
 DEFAULT_UNIT_DELAY_NS = 1.0
+COMPARISON_TOLERANCE = 0.1
+
+# The published comparison table, one row per percentage:
+# (name, our column, Upadhyaya et al.'s column, the printed percentage).
+COMPARISON = (
+    ("slices_pct", "comparison_slices_pct", "upadhyaya_slices_pct", "printed_slices_reduction_pct"),
+    ("ff_pct", "comparison_ff_pct", "upadhyaya_ff_pct", "printed_ff_reduction_pct"),
+    ("lut_pct", "comparison_lut_pct", "upadhyaya_lut_pct", "printed_lut_reduction_pct"),
+    ("fmax_pct", "comparison_fmax_mhz", "upadhyaya_fmax_mhz", "printed_fmax_increase_pct"),
+)
 
 
 class NodeKind(str, enum.Enum):
@@ -67,7 +83,8 @@ class DatapathGraph:
     """Directed primitive-level structure: nodes plus data-dependency edges.
 
     Register inputs name the combinational node producing their next
-    value; cycles are legal only through registers.
+    value; cycles are legal only through registers. Inputs may name nodes
+    added later: validate() checks them once the graph is complete.
     """
 
     variant: str
@@ -81,7 +98,8 @@ class DatapathGraph:
         self.nodes[name] = Node(name, kind)
         self.preds[name] = tuple(inputs)
 
-    def validate(self) -> None:
+    def validate(self) -> dict[str, int]:
+        """Check every input and return the combinational depths."""
         for name, inputs in self.preds.items():
             node = self.nodes[name]
             for src in inputs:
@@ -89,7 +107,7 @@ class DatapathGraph:
                     raise RangeError(f"node {name!r} reads undefined {src!r}")
             if node.kind in _COMBINATIONAL and not inputs:
                 raise RangeError(f"combinational node {name!r} has no inputs")
-        self._combinational_depths()  # raises CyclicGraph on a loop
+        return self._combinational_depths()  # raises CyclicGraph on a loop
 
     def _combinational_depths(self) -> dict[str, int]:
         """Longest combinational chain ending at each node; registers and
@@ -141,26 +159,29 @@ def width_bits(cfg: InterleaverConfig) -> int:
 
 
 def _common_counters(g: DatapathGraph) -> None:
-    """Registers, constants, the narrow dedicated counters shared by both
-    variants (q-mod-s trackers and the j-mod-s counter), and the dv/dv_lo
-    correction select."""
-    for reg in ("r", "q", "v", "dv", "dv_lo", "tv", "s_phase", "addr_out"):
-        g.add(reg, NodeKind.REGISTER)
+    """Constants, the narrow dedicated counters shared by both variants
+    (q-mod-s trackers and the j-mod-s counter), and the dv/dv_lo
+    correction select. Each register names its next-value source."""
     for const in ("const_d", "const_one", "const_s", "const_neg_sd", "const_n", "const_zero"):
         g.add(const, NodeKind.CONSTANT)
 
     # v = q mod s and its derived correction registers, reset on wrap
+    g.add("v", NodeKind.REGISTER, "mux_v")
     g.add("add_v", NodeKind.ADDER, "v", "const_one")
     g.add("cmp_v", NodeKind.COMPARATOR, "add_v", "const_s")
     g.add("mux_v", NodeKind.MUX, "add_v", "const_zero", "cmp_v")
+    g.add("dv", NodeKind.REGISTER, "mux_dv")
     g.add("add_dv", NodeKind.ADDER, "dv", "const_d")
     g.add("mux_dv", NodeKind.MUX, "add_dv", "const_zero", "cmp_v")
+    g.add("dv_lo", NodeKind.REGISTER, "mux_dvlo")
     g.add("add_dvlo", NodeKind.ADDER, "dv_lo", "const_d")
     g.add("mux_dvlo", NodeKind.MUX, "add_dvlo", "const_neg_sd", "cmp_v")
+    g.add("tv", NodeKind.REGISTER, "mux_tv")
     g.add("sub_tv", NodeKind.SUBTRACTOR, "tv", "const_one")
     g.add("mux_tv", NodeKind.MUX, "sub_tv", "const_s", "cmp_v")
 
     # s_phase = j mod s
+    g.add("s_phase", NodeKind.REGISTER, "mux_sphase")
     g.add("add_sphase", NodeKind.ADDER, "s_phase", "const_one")
     g.add("cmp_sphase", NodeKind.COMPARATOR, "add_sphase", "const_s")
     g.add("mux_sphase", NodeKind.MUX, "add_sphase", "const_zero", "cmp_sphase")
@@ -182,6 +203,9 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
 
     if variant is Variant.SPEED:
         # dedicated wide units; pipeline register after the corrected residue
+        g.add("r", NodeKind.REGISTER, "mux_r")
+        g.add("q", NodeKind.REGISTER, "mux_q")
+        g.add("addr_out", NodeKind.REGISTER, "add_k")
         g.add("add_u", NodeKind.ADDER, "r", "mux_de")
         g.add("pipe_u", NodeKind.REGISTER, "add_u")
         g.add("add_k", NodeKind.ADDER, "pipe_u", "q")
@@ -192,15 +216,12 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("mux_r", NodeKind.MUX, "add_r", "sub_r", "cmp_r")
         g.add("add_q", NodeKind.ADDER, "q", "const_one")
         g.add("mux_q", NodeKind.MUX, "q", "add_q", "cmp_r")
-        _wire_registers(
-            g,
-            r="mux_r",
-            q="mux_q",
-            addr_out="add_k",
-        )
     else:
         # one shared ALU behind operand mux trees; round-robin over the
         # r-update, the u computation, and the output address
+        g.add("r", NodeKind.REGISTER, "mux_wr")
+        g.add("q", NodeKind.REGISTER, "mux_q")
+        g.add("addr_out", NodeKind.REGISTER, "mux_wr")
         g.add("mux_a1", NodeKind.MUX, "r", "q")
         g.add("mux_b1", NodeKind.MUX, "mux_de", "const_d")
         g.add("mux_b2", NodeKind.MUX, "mux_b1", "const_n")
@@ -210,30 +231,9 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("mux_wr", NodeKind.MUX, "alu", "const_zero", "cmp_shared")
         g.add("add_q", NodeKind.ADDER, "q", "const_one")
         g.add("mux_q", NodeKind.MUX, "q", "add_q", "cmp_shared")
-        _wire_registers(
-            g,
-            r="mux_wr",
-            q="mux_q",
-            addr_out="mux_wr",
-        )
 
     g.validate()
     return g
-
-
-def _wire_registers(g: DatapathGraph, *, r: str, q: str, addr_out: str) -> None:
-    updates = {
-        "r": r,
-        "q": q,
-        "v": "mux_v",
-        "dv": "mux_dv",
-        "dv_lo": "mux_dvlo",
-        "tv": "mux_tv",
-        "s_phase": "mux_sphase",
-        "addr_out": addr_out,
-    }
-    for reg, src in updates.items():
-        g.preds[reg] = (src,)
 
 
 def estimate_cost(
@@ -246,8 +246,7 @@ def estimate_cost(
     """
     if unit_delay_ns <= 0:
         raise RangeError(f"unit delay must be positive, got {unit_delay_ns}")
-    g.validate()
-    depths = g._combinational_depths()
+    depths = g.validate()
     counts = {kind: 0 for kind in NodeKind}
     for node in g.nodes.values():
         counts[node.kind] += 1
@@ -279,10 +278,17 @@ class TradeoffReport:
     paper: PaperReference
     deltas: dict
     unit_delay_ns: float
+    ordering_checks: tuple[tuple[str, bool], ...]
+    comparison_check: list[tuple[str, float, float, bool]]
+
+    @property
+    def ok(self) -> bool:
+        """Every ordering check and every comparison row passes."""
+        return all(row[-1] for row in (*self.ordering_checks, *self.comparison_check))
 
     def as_dict(self) -> dict:
         return {
-            "config": {"ncbps": self.cfg.n_cbps, "d": self.cfg.d, "s": self.cfg.s},
+            "config": self.cfg.as_dict(),
             "model": {
                 "note": (
                     "structural estimates from the datapath model; "
@@ -297,7 +303,14 @@ class TradeoffReport:
                 "note": "published synthesis results, carried verbatim",
                 **self.paper.as_dict(),
             },
+            "comparison_check": [
+                {"name": name, "recomputed": got, "printed": want, "pass": ok}
+                for name, got, want, ok in self.comparison_check
+            ],
         }
+
+    def render_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2) + "\n"
 
     def render_text(self) -> str:
         a, s, p = self.area, self.speed, self.paper
@@ -326,26 +339,44 @@ class TradeoffReport:
             f"  {'slice flip-flops':<28}{p.area_ff:>10}{p.speed_ff:>10}",
             f"  {'4-input LUTs':<28}{p.area_lut:>10}{p.speed_lut:>10}",
             f"  {'slices':<28}{p.slices:>10}{p.slices:>10}",
+            "",
+            "model ordering checks",
+        ]
+        lines += [f"  {name}: {'PASS' if ok else 'FAIL'}" for name, ok in self.ordering_checks]
+        lines.append(f"comparison-table arithmetic check (tolerance {COMPARISON_TOLERANCE})")
+        lines += [
+            f"  {name:<12} recomputed {got:+8.2f}  printed {want:+8.2f}  "
+            f"{'PASS' if ok else 'FAIL'}"
+            for name, got, want, ok in self.comparison_check
         ]
         return "\n".join(lines)
+
+
+def _pct(new: float, old: float) -> float:
+    """Relative change of new against old, in percent."""
+    return 100.0 * (new - old) / old
 
 
 def compare_variants(
     cfg: InterleaverConfig, unit_delay_ns: float = DEFAULT_UNIT_DELAY_NS
 ) -> TradeoffReport:
     """Build and estimate both variants; attach published figures side by
-    side. All deltas are computed from the two estimates, never entered by
-    hand."""
+    side, and check the model orderings and the published comparison
+    arithmetic. All deltas are computed from the two estimates, never
+    entered by hand."""
     area = estimate_cost(build_datapath(cfg, Variant.AREA), unit_delay_ns)
     speed = estimate_cost(build_datapath(cfg, Variant.SPEED), unit_delay_ns)
     deltas = {
-        "fmax_proxy_pct": 100.0 * (speed.fmax_proxy_mhz - area.fmax_proxy_mhz)
-        / area.fmax_proxy_mhz,
-        "lut_equiv_pct": 100.0 * (speed.lut_equiv - area.lut_equiv) / area.lut_equiv,
+        "fmax_proxy_pct": _pct(speed.fmax_proxy_mhz, area.fmax_proxy_mhz),
+        "lut_equiv_pct": _pct(speed.lut_equiv, area.lut_equiv),
         "register_count_delta": speed.register_count - area.register_count,
         "critical_path_depth_delta": speed.critical_path_depth
         - area.critical_path_depth,
     }
+    ordering_checks = (
+        ("speed depth < area depth", speed.critical_path_depth < area.critical_path_depth),
+        ("speed registers = area registers + 1", speed.register_count == area.register_count + 1),
+    )
     return TradeoffReport(
         cfg=cfg,
         area=area,
@@ -353,6 +384,8 @@ def compare_variants(
         paper=PAPER_REFERENCE,
         deltas=deltas,
         unit_delay_ns=unit_delay_ns,
+        ordering_checks=ordering_checks,
+        comparison_check=reduction_check(PAPER_REFERENCE),
     )
 
 
@@ -360,33 +393,18 @@ def recompute_reduction_percentages(ref: PaperReference = PAPER_REFERENCE) -> di
     """Recompute the published comparison percentages, 100*(ours-theirs)/theirs,
     from the comparison table's own input columns."""
     return {
-        "slices_pct": 100.0
-        * (ref.comparison_slices_pct - ref.upadhyaya_slices_pct)
-        / ref.upadhyaya_slices_pct,
-        "ff_pct": 100.0
-        * (ref.comparison_ff_pct - ref.upadhyaya_ff_pct)
-        / ref.upadhyaya_ff_pct,
-        "lut_pct": 100.0
-        * (ref.comparison_lut_pct - ref.upadhyaya_lut_pct)
-        / ref.upadhyaya_lut_pct,
-        "fmax_pct": 100.0
-        * (ref.comparison_fmax_mhz - ref.upadhyaya_fmax_mhz)
-        / ref.upadhyaya_fmax_mhz,
+        name: _pct(getattr(ref, ours), getattr(ref, theirs))
+        for name, ours, theirs, _ in COMPARISON
     }
 
 
 def reduction_check(
-    ref: PaperReference = PAPER_REFERENCE, tol: float = 0.1
+    ref: PaperReference = PAPER_REFERENCE, tol: float = COMPARISON_TOLERANCE
 ) -> list[tuple[str, float, float, bool]]:
     """Each row: (name, recomputed, printed, within tolerance)."""
     recomputed = recompute_reduction_percentages(ref)
-    printed = {
-        "slices_pct": ref.printed_slices_reduction_pct,
-        "ff_pct": ref.printed_ff_reduction_pct,
-        "lut_pct": ref.printed_lut_reduction_pct,
-        "fmax_pct": ref.printed_fmax_increase_pct,
-    }
-    return [
-        (name, recomputed[name], printed[name], abs(recomputed[name] - printed[name]) <= tol)
-        for name in ("slices_pct", "ff_pct", "lut_pct", "fmax_pct")
-    ]
+    rows = []
+    for name, _, _, printed in COMPARISON:
+        got, want = recomputed[name], getattr(ref, printed)
+        rows.append((name, got, want, abs(got - want) <= tol))
+    return rows

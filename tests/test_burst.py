@@ -44,7 +44,7 @@ def brute_force_rows(cfg, b):
 )
 def test_sweep_rows_equal_brute_force(cfg, max_b):
     for b in range(1, max_b + 1):
-        rows = [r.as_row() for r in burst_sweep(cfg, b).reports]
+        rows = list(burst_sweep(cfg, b).reports)
         assert rows == brute_force_rows(cfg, b), (cfg, b)
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+from wimax_il import cost_model
 from wimax_il.cli import main
 from wimax_il.tablefile import read_table
 
@@ -51,6 +53,12 @@ def test_gen_interleave_direction_via_inversion(tmp_path):
 def test_gen_bad_config_exits_2(capsys):
     assert main(["gen", "--ncbps", "100", "--d", "16", "--s", "1"]) == 2
     assert "divide" in capsys.readouterr().err
+
+
+def test_gen_oversized_block_exits_2_at_once(capsys):
+    # validation refuses the block before any table is built
+    assert main(["gen", "--ncbps", "1600000000", "--s", "1"]) == 2
+    assert "at most" in capsys.readouterr().err
 
 
 def test_gen_to_stdout(capsys):
@@ -112,6 +120,15 @@ def test_verify_crlf_table_exits_1(tmp_path, capsys):
     assert "not canonical" in capsys.readouterr().out
 
 
+def test_verify_oversized_header_exits_1(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)])
+    text = path.read_text().replace("# ncbps=32 ", "# ncbps=1600000000 ")
+    path.write_text(text)
+    assert main(["verify", "--table", str(path)]) == 1
+    assert "bad config header" in capsys.readouterr().out
+
+
 def test_verify_unreadable_table_exits_1(tmp_path):
     assert main(["verify", "--table", str(tmp_path / "missing.csv")]) == 1
 
@@ -152,6 +169,13 @@ def test_burst_sweep_reports(tmp_path, capsys):
     assert [s["worst_max_run_length"] for s in payload["sweeps"]] == [1, 1, 2, 2]
     assert "8 symbols" in payload["rs_criterion_note"]
 
+    columns = lines[2].removeprefix("# columns: ").split(",")
+    reports = [r for s in payload["sweeps"] for r in s["reports"]]
+    assert len(reports) == len(data_rows)
+    for report, row in zip(reports, data_rows):
+        assert list(report) == columns
+        assert [int(v) for v in report.values()] == [int(v) for v in row.split(",")]
+
 
 def test_burst_requires_exactly_one_mode():
     assert main(["burst", "--ncbps", "32", "--d", "16", "--s", "1"]) == 2
@@ -175,7 +199,22 @@ def test_tradeoff_text_and_json(tmp_path, capsys):
     assert all(row["pass"] for row in payload["comparison_check"])
 
 
-def test_tradeoff_unit_delay_env(capsys):
+def test_tradeoff_failed_check_exits_1(monkeypatch, tmp_path, capsys):
+    wrong = dataclasses.replace(cost_model.PAPER_REFERENCE, printed_ff_reduction_pct=0.0)
+    monkeypatch.setattr(cost_model, "PAPER_REFERENCE", wrong)
+    out = tmp_path / "tradeoff.json"
+    assert main(["tradeoff", "--preset", "qpsk", "--out", str(out)]) == 1
+    verdicts = {
+        line.split()[0]: line.split()[-1]
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("  ") and "recomputed" in line
+    }
+    assert verdicts == {"slices_pct": "PASS", "ff_pct": "FAIL", "lut_pct": "PASS", "fmax_pct": "PASS"}
+    rows = {row["name"]: row["pass"] for row in json.loads(out.read_text())["comparison_check"]}
+    assert rows == {"slices_pct": True, "ff_pct": False, "lut_pct": True, "fmax_pct": True}
+
+
+def test_tradeoff_unit_delay_flag(capsys):
     assert main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", "2.0"]) == 0
     slowed = capsys.readouterr().out
     assert "unit delay 2.0 ns" in slowed

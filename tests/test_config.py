@@ -7,16 +7,18 @@ from wimax_il import (
     PRESETS,
     DivisibilityError,
     RangeError,
-    parse_config_json,
-    parse_config_text,
     preset,
     validate_config,
 )
+from wimax_il.config import MAX_NCBPS
 
 
 @pytest.mark.parametrize(
     "n,d,s,rows",
-    [(384, 16, 2, 24), (32, 16, 1, 2), (576, 16, 3, 36), (192, 16, 1, 12), (144, 12, 2, 12)],
+    [
+        (384, 16, 2, 24), (32, 16, 1, 2), (576, 16, 3, 36), (192, 16, 1, 12), (144, 12, 2, 12),
+        (MAX_NCBPS, 16, 1, MAX_NCBPS // 16),
+    ],
 )
 def test_validate_accepts(n, d, s, rows):
     cfg = validate_config(n, d, s)
@@ -36,7 +38,10 @@ def test_validate_rejects_non_divisible_rows():
 
 @pytest.mark.parametrize(
     "n,d,s",
-    [(384, 10, 2), (384, 16, 4), (384, 16, 0), (16, 16, 1), (0, 16, 1)],
+    [
+        (384, 10, 2), (384, 16, 4), (384, 16, 0), (16, 16, 1), (0, 16, 1),
+        (MAX_NCBPS + 16, 16, 1), (1_600_000_000, 16, 1),
+    ],
 )
 def test_validate_rejects_out_of_range(n, d, s):
     with pytest.raises(RangeError):
@@ -62,29 +67,6 @@ def test_validate_matches_invariants_exhaustively():
                 else:
                     with pytest.raises((RangeError, DivisibilityError)):
                         validate_config(n, d, s)
-
-
-def test_text_round_trip():
-    cfg = validate_config(576, 16, 3)
-    assert parse_config_text(cfg.as_text()) == cfg
-    assert parse_config_text("384,16,2").as_text() == "384,16,2"
-
-
-def test_json_round_trip():
-    cfg = validate_config(384, 16, 2)
-    assert parse_config_json(cfg.as_json()) == cfg
-
-
-@pytest.mark.parametrize("text", ["384,16", "a,16,2", "384;16;2", ""])
-def test_text_parse_rejects_malformed(text):
-    with pytest.raises(RangeError):
-        parse_config_text(text)
-
-
-@pytest.mark.parametrize("text", ["{}", '{"ncbps": 384}', "[384,16,2]", "{bad"])
-def test_json_parse_rejects_malformed(text):
-    with pytest.raises(RangeError):
-        parse_config_json(text)
 
 
 def test_presets():

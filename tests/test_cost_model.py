@@ -29,10 +29,9 @@ def toy_graph(width=8):
 
 def test_single_adder_loop():
     g = toy_graph()
-    g.add("acc", NodeKind.REGISTER)
+    g.add("acc", NodeKind.REGISTER, "add")
     g.add("inc", NodeKind.CONSTANT)
     g.add("add", NodeKind.ADDER, "acc", "inc")
-    g.preds["acc"] = ("add",)
     report = estimate_cost(g)
     assert report.register_count == 1
     assert report.critical_path_depth == 1
@@ -42,11 +41,10 @@ def test_single_adder_loop():
 def test_two_adders_in_series():
     g = toy_graph()
     g.add("a", NodeKind.REGISTER)
-    g.add("b", NodeKind.REGISTER)
+    g.add("b", NodeKind.REGISTER, "add2")
     g.add("one", NodeKind.CONSTANT)
     g.add("add1", NodeKind.ADDER, "a", "one")
     g.add("add2", NodeKind.ADDER, "add1", "one")
-    g.preds["b"] = ("add2",)
     assert estimate_cost(g).critical_path_depth == 2
 
 
@@ -101,12 +99,11 @@ def test_node_count_is_config_independent():
 
 def test_lut_equiv_weighting():
     g = toy_graph(width=10)
-    g.add("r", NodeKind.REGISTER)
+    g.add("r", NodeKind.REGISTER, "mux")
     g.add("c", NodeKind.CONSTANT)
     g.add("add", NodeKind.ADDER, "r", "c")
     g.add("cmp", NodeKind.COMPARATOR, "add", "c")
     g.add("mux", NodeKind.MUX, "add", "c", "cmp")
-    g.preds["r"] = ("mux",)
     report = estimate_cost(g)
     # adder 1/bit + comparator 1/bit + mux 0.5/bit, registers free
     assert report.lut_equiv == 10 + 10 + 5
@@ -114,11 +111,10 @@ def test_lut_equiv_weighting():
 
 def test_fmax_proxy_formula():
     g = toy_graph()
-    g.add("a", NodeKind.REGISTER)
+    g.add("a", NodeKind.REGISTER, "add2")
     g.add("one", NodeKind.CONSTANT)
     g.add("add1", NodeKind.ADDER, "a", "one")
     g.add("add2", NodeKind.ADDER, "add1", "one")
-    g.preds["a"] = ("add2",)
     assert estimate_cost(g, unit_delay_ns=1.0).fmax_proxy_mhz == 500.0
     assert estimate_cost(g, unit_delay_ns=2.5).fmax_proxy_mhz == 200.0
     with pytest.raises(RangeError):
@@ -145,7 +141,7 @@ def test_compare_variants_report():
 
 def test_report_serialization_sections():
     payload = compare_variants(CFG192).as_dict()
-    assert set(payload) == {"config", "model", "paper_reference"}
+    assert set(payload) == {"config", "model", "paper_reference", "comparison_check"}
     assert payload["paper_reference"]["area_fmax_mhz"] == 107.41
     assert payload["paper_reference"]["speed_fmax_mhz"] == 130.2
     assert "structural estimates" in payload["model"]["note"]

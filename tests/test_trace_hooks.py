@@ -1,9 +1,13 @@
-"""The benchmark's traced run patches entry points by name; every name it
-patches must exist, so that renaming one fails here and not only in a
-traced benchmark run."""
+"""The benchmark's traced run patches entry points by name, under the module
+attribute where each caller looks it up. Every name it patches must exist,
+and every patched name must still be reached through that attribute, so that
+a rename or a bypass fails here and not only in a traced benchmark run."""
 import importlib
 import importlib.util
 from pathlib import Path
+
+import wimax_il.cli
+from wimax_il import reference, validate_config
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -21,3 +25,26 @@ def test_traced_entry_points_resolve():
     hooks.append(spans.INDEX_FN)
     for module, attr in hooks:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_traced_pass_reaches_every_layer(tmp_path, capsys):
+    spans = load_spans()
+    triple = ["--ncbps", "32", "--d", "16", "--s", "1"]
+    table = tmp_path / "t.csv"
+    with spans.Tracer() as tracer:
+        for engine in ("reference", "incremental"):
+            for direction in ("interleave", "deinterleave"):
+                argv = ["gen", *triple, "--engine", engine, "--dir", direction]
+                assert wimax_il.cli.main([*argv, "--out", str(table)]) == 0
+        assert wimax_il.cli.main(["verify", "--table", str(table)]) == 0
+        assert wimax_il.cli.main(
+            ["burst", *triple, "--sweep-max", "2",
+             "--out", str(tmp_path / "b.csv"), "--json-out", str(tmp_path / "b.json")]
+        ) == 0
+        assert wimax_il.cli.main(["tradeoff", *triple]) == 0
+        cfg = validate_config(32, 16, 1)
+        dtab = reference.build_table(cfg, reference.Direction.DEINTERLEAVE)
+        assert sorted(reference.apply_permutation(dtab, list(range(32)))) == list(range(32))
+    recorded = {name for name, *_ in tracer.spans}
+    assert recorded == {name for name, *_ in spans.LAYERS}
+    assert tracer.index_calls > 0
