@@ -49,6 +49,6 @@ from .reference import (
     interleave_index,
     invert_table,
 )
-from .tablefile import parse_table, read_table, serialize_table, write_table
+from .tablefile import parse_table, read_table, serialize_table
 
 __version__ = "0.1.0"

@@ -123,16 +123,18 @@ def cmd_burst(
 ) -> CommandOutcome:
     if (b is None) == (sweep_max is None):
         raise RangeError("give exactly one of --b and --sweep-max")
-    lengths = [b] if b is not None else list(range(1, sweep_max + 1))
-    if not lengths:
+    if b is not None:
+        result = burst_mod.burst_sweep(cfg, b)
+    elif sweep_max < 1:
         raise RangeError("--sweep-max must be at least 1")
-    sweeps = [burst_mod.burst_sweep(cfg, length) for length in lengths]
-    lines = burst_mod.summary_lines(cfg, sweeps)
+    else:
+        result = burst_mod.burst_sweep(cfg, 1, sweep_max)
+    lines = burst_mod.summary_lines(result)
     if out:
-        _write(out, burst_mod.render_csv(cfg, sweeps))
+        _write(out, burst_mod.render_csv(result))
         lines.append(f"wrote CSV report to {out}")
     if json_out:
-        _write(json_out, burst_mod.render_json(cfg, sweeps))
+        _write(json_out, burst_mod.render_json(result))
         lines.append(f"wrote JSON report to {json_out}")
     return CommandOutcome(0, "\n".join(lines))
 

@@ -89,11 +89,6 @@ def parse_table(text: str) -> AddressTable:
     return table
 
 
-def write_table(table: AddressTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_table(table))
-
-
 def read_table(path: str) -> AddressTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_table(fh.read())

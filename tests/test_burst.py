@@ -1,18 +1,29 @@
+import json
+from functools import cache
+
 import pytest
 
 from wimax_il import (
     RangeError,
+    burst,
     burst_sweep,
     deinterleave_index,
     preset,
     validate_config,
 )
-from wimax_il.burst import RS_MAX_CORRECTABLE_RUN, window_stats
+from wimax_il.burst import (
+    COLUMNS,
+    RS_CRITERION_NOTE,
+    RS_MAX_CORRECTABLE_RUN,
+    render_json,
+    window_stats,
+)
 
 CFG32 = validate_config(32, 16, 1)
 CFG192 = validate_config(192, 16, 1)
 
 
+@cache
 def brute_force_rows(cfg, b):
     """Rows of a b-burst sweep, computed the long way: map each burst
     position back one at a time, then measure runs and gaps naively."""
@@ -30,7 +41,7 @@ def brute_force_rows(cfg, b):
     return rows
 
 
-@pytest.mark.parametrize(
+SWEEP_CASES = pytest.mark.parametrize(
     "cfg,max_b",
     [
         (CFG32, CFG32.n_cbps),
@@ -42,10 +53,38 @@ def brute_force_rows(cfg, b):
     ],
     ids=["32_16_1", "144_12_1", "qpsk", "qam16", "qam64", "768_16_2"],
 )
+
+
+@SWEEP_CASES
 def test_sweep_rows_equal_brute_force(cfg, max_b):
     for b in range(1, max_b + 1):
         rows = list(burst_sweep(cfg, b).reports)
         assert rows == brute_force_rows(cfg, b), (cfg, b)
+
+
+def assert_one_call_matches_brute_force(cfg, first, last):
+    result = burst_sweep(cfg, first, last)
+    assert result.lengths == range(first, last + 1)
+    want = [brute_force_rows(cfg, b) for b in result.lengths]
+    assert list(result.reports) == [row for rows in want for row in rows]
+    for (b, reports, worst), rows in zip(result.per_length(), want, strict=True):
+        assert list(reports) == rows, (cfg, b)
+        assert worst == max(row[2] for row in rows), (cfg, b)
+    assert result.worst_max_run_length == max(result.worst_runs)
+
+
+@SWEEP_CASES
+def test_one_call_sweeps_every_length(cfg, max_b):
+    """One call over 1..max_b gives, per length, the reports of the long way."""
+    assert_one_call_matches_brute_force(cfg, 1, max_b)
+
+
+@pytest.mark.parametrize("first,last", [(5, 9), (3, 3)])
+@pytest.mark.parametrize(
+    "triple", [(32, 16, 1), (144, 12, 1), (384, 16, 2), (576, 16, 3)]
+)
+def test_one_call_sweeps_a_range_above_1(triple, first, last):
+    assert_one_call_matches_brute_force(validate_config(*triple), first, last)
 
 
 def test_deinterleave_errors_worked_values():
@@ -116,6 +155,24 @@ def test_sweep_rejects_bad_lengths():
         burst_sweep(CFG32, 0)
     with pytest.raises(RangeError):
         burst_sweep(CFG32, 33)
+    with pytest.raises(RangeError):
+        burst_sweep(CFG32, 1, 33)
+    with pytest.raises(RangeError):
+        burst_sweep(CFG32, 5, 4)
+
+
+def test_sweep_report_cap_counts_every_length(monkeypatch):
+    """The cap is on the reports of the whole call, checked before any work."""
+    monkeypatch.setattr(burst, "MAX_SWEEP_REPORTS", 32 + 31 + 30)
+    assert len(burst_sweep(CFG32, 1, 3).reports) == 32 + 31 + 30
+    assert len(burst_sweep(CFG32, 2, 4).reports) == 31 + 30 + 29
+
+    def no_work(*args):
+        raise AssertionError("the sweep started before the cap was checked")
+
+    monkeypatch.setattr(burst, "deinterleave_index", no_work)
+    with pytest.raises(RangeError, match="make 122 reports, more than the limit of 93"):
+        burst_sweep(CFG32, 1, 4)
 
 
 def test_rs_correctable_thresholds():
@@ -131,3 +188,38 @@ def test_reports_carry_rs_flag():
     assert all(r.max_run_length == 1 for r in sweep.reports)
     # scattered errors sit about one column stride apart
     assert all(r.min_pairwise_spacing >= CFG192.d - 1 for r in sweep.reports)
+
+
+@pytest.mark.parametrize(
+    "cfg,max_b",
+    [
+        (CFG32, 32),
+        (preset("qpsk"), 10),
+        (preset("qam16"), 10),
+        (preset("qam64"), 10),
+        (validate_config(768, 12, 2), 10),
+    ],
+    ids=["32_16_1", "qpsk", "qam16", "qam64", "768_12_2"],
+)
+def test_render_json_is_json_dumps_of_the_payload(cfg, max_b):
+    """The templates write the bytes json.dumps(indent=2) writes for the
+    report payload, built here from one single-length sweep per b."""
+    sweeps = []
+    for b in range(1, max_b + 1):
+        reports = burst_sweep(cfg, b).reports
+        sweeps.append({
+            "b": b,
+            "worst_max_run_length": max(r.max_run_length for r in reports),
+            "reports": [dict(zip(COLUMNS, r)) for r in reports],
+        })
+    payload = {
+        "config": cfg.as_dict(),
+        "rs_criterion_note": RS_CRITERION_NOTE,
+        "sweeps": sweeps,
+    }
+    text = render_json(burst_sweep(cfg, 1, max_b))
+    assert text == json.dumps(payload, indent=2) + "\n"
+    if cfg == CFG32:  # b=1's spacing of 0, and uncorrectable rows, are covered
+        flat = [r for sweep in sweeps for r in sweep["reports"]]
+        assert any(r["min_spacing"] == 0 for r in flat)
+        assert any(not r["rs_correctable"] for r in flat)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wimax_il import cost_model
+from wimax_il import burst, cost_model
 from wimax_il.cli import main
 from wimax_il.tablefile import read_table
 
@@ -175,6 +175,28 @@ def test_burst_sweep_reports(tmp_path, capsys):
     for report, row in zip(reports, data_rows):
         assert list(report) == columns
         assert [int(v) for v in report.values()] == [int(v) for v in row.split(",")]
+
+
+def test_burst_sweep_over_the_report_cap_exits_2_at_once(tmp_path, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the sweep started before the cap was checked")
+
+    monkeypatch.setattr(burst, "deinterleave_index", no_work)
+    csv_path, json_path = tmp_path / "burst.csv", tmp_path / "burst.json"
+    for triple, depth in [(("65536", "16", "1"), "65536"), (("2304", "16", "3"), "117")]:
+        code = main(
+            [
+                "burst", "--ncbps", triple[0], "--d", triple[1], "--s", triple[2],
+                "--sweep-max", depth,
+                "--out", str(csv_path),
+                "--json-out", str(json_path),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than the limit of {burst.MAX_SWEEP_REPORTS}" in captured.err
+        assert not csv_path.exists() and not json_path.exists()
 
 
 def test_burst_requires_exactly_one_mode():

@@ -12,6 +12,7 @@ from wimax_il import (
     run,
     validate_config,
 )
+from wimax_il.cli import _write
 from wimax_il.tablefile import parse_table, read_table, serialize_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -94,10 +95,25 @@ def test_parse_rejects_malformed(mutation):
         parse_table(mutation(text))
 
 
-def test_file_round_trip(tmp_path):
-    from wimax_il.tablefile import write_table
+@given(data=st.data())
+def test_parse_accepts_only_canonical_text(data):
+    """One inserted, deleted or replaced character either makes the text
+    fail to parse or leaves it canonical (values are not range-checked)."""
+    text = serialize_table(build_table(CFG32, Direction.DEINTERLEAVE))
+    edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
+    at = data.draw(st.integers(0, len(text) - (edit != "insert")))
+    char = data.draw(st.sampled_from("0123456789,#=_+- \n\r\t") | st.characters())
+    tail = text[at + (edit != "insert"):]
+    mutated = text[:at] + ("" if edit == "delete" else char) + tail
+    try:
+        table = parse_table(mutated)
+    except TableFormatError:
+        return
+    assert serialize_table(table) == mutated
 
+
+def test_file_round_trip(tmp_path):
     table = build_table(CFG32, Direction.INTERLEAVE)
     path = tmp_path / "table.csv"
-    write_table(table, str(path))
+    _write(str(path), serialize_table(table))
     assert read_table(str(path)) == table

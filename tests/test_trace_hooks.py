@@ -48,3 +48,16 @@ def test_traced_pass_reaches_every_layer(tmp_path, capsys):
     recorded = {name for name, *_ in tracer.spans}
     assert recorded == {name for name, *_ in spans.LAYERS}
     assert tracer.index_calls > 0
+
+
+def test_burst_sweep_is_one_traced_call_over_every_report(capsys):
+    """burst --sweep-max makes one burst_sweep call, whose work is every
+    report of the command: the benchmark's us_per_report rests on this."""
+    spans = load_spans()
+    with spans.Tracer() as tracer:
+        assert wimax_il.cli.main(
+            ["burst", "--ncbps", "32", "--d", "16", "--s", "1", "--sweep-max", "2"]
+        ) == 0
+    sweeps = [work for name, *_, work in tracer.spans if name == "burst.burst_sweep"]
+    assert sweeps == [32 + 31]
+    assert tracer.index_calls == 32
