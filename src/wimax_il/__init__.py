@@ -26,7 +26,6 @@ from .cost_model import (
     build_datapath,
     compare_variants,
     estimate_cost,
-    recompute_reduction_percentages,
     reduction_check,
 )
 from .errors import (

@@ -259,10 +259,7 @@ def main(argv: list[str] | None = None) -> int:
             outcome = cmd_tradeoff(
                 _resolve_config(args), args.out, args.unit_delay_ns
             )
-    except InterleaverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InterleaverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(outcome.summary)

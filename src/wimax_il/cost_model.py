@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .config import PAPER_REFERENCE, InterleaverConfig, PaperReference
@@ -72,12 +73,6 @@ class Variant(str, enum.Enum):
     SPEED = "speed"
 
 
-@dataclass(frozen=True)
-class Node:
-    name: str
-    kind: NodeKind
-
-
 @dataclass
 class DatapathGraph:
     """Directed primitive-level structure: nodes plus data-dependency edges.
@@ -89,50 +84,44 @@ class DatapathGraph:
 
     variant: str
     width_bits: int
-    nodes: dict[str, Node] = field(default_factory=dict)
+    nodes: dict[str, NodeKind] = field(default_factory=dict)
     preds: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def add(self, name: str, kind: NodeKind, *inputs: str) -> None:
         if name in self.nodes:
             raise RangeError(f"duplicate node {name!r}")
-        self.nodes[name] = Node(name, kind)
+        self.nodes[name] = kind
         self.preds[name] = tuple(inputs)
 
     def validate(self) -> dict[str, int]:
-        """Check every input and return the combinational depths."""
-        for name, inputs in self.preds.items():
-            node = self.nodes[name]
+        """Check every input in one walk and return, for each node, the
+        longest combinational chain ending at it; registers and constants
+        are depth 0. Raises RangeError on an undefined input or an
+        input-less combinational node, CyclicGraph on a combinational loop.
+        """
+        depths: dict[str, int] = {}
+        entered: set[str] = set()
+
+        def walk(name: str) -> int:
+            if name in depths:
+                return depths[name]
+            if name in entered:
+                raise CyclicGraph(f"combinational loop through {name!r}")
+            entered.add(name)
+            inputs = self.preds[name]
             for src in inputs:
                 if src not in self.nodes:
                     raise RangeError(f"node {name!r} reads undefined {src!r}")
-            if node.kind in _COMBINATIONAL and not inputs:
+            if self.nodes[name] not in _COMBINATIONAL:
+                depths[name] = 0  # a chain starts here; its inputs are not followed
+            elif not inputs:
                 raise RangeError(f"combinational node {name!r} has no inputs")
-        return self._combinational_depths()  # raises CyclicGraph on a loop
-
-    def _combinational_depths(self) -> dict[str, int]:
-        """Longest combinational chain ending at each node; registers and
-        constants contribute depth 0."""
-        depths: dict[str, int] = {}
-        in_progress: set[str] = set()
-
-        def depth(name: str) -> int:
-            node = self.nodes[name]
-            if node.kind not in _COMBINATIONAL:
-                return 0
-            if name in depths:
-                return depths[name]
-            if name in in_progress:
-                raise CyclicGraph(f"combinational loop through {name!r}")
-            in_progress.add(name)
-            best = 0
-            for src in self.preds[name]:
-                best = max(best, depth(src))
-            in_progress.discard(name)
-            depths[name] = best + 1
+            else:
+                depths[name] = 1 + max(map(walk, inputs))
             return depths[name]
 
         for name in self.nodes:
-            depth(name)
+            walk(name)
         return depths
 
 
@@ -231,8 +220,6 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("mux_wr", NodeKind.MUX, "alu", "const_zero", "cmp_shared")
         g.add("add_q", NodeKind.ADDER, "q", "const_one")
         g.add("mux_q", NodeKind.MUX, "q", "add_q", "cmp_shared")
-
-    g.validate()
     return g
 
 
@@ -242,22 +229,25 @@ def estimate_cost(
     """Count primitives and the longest register-to-register chain.
 
     Pure function of the graph: the same graph always yields the same
-    report. Raises CyclicGraph when combinational nodes form a loop.
+    report. Raises CyclicGraph when combinational nodes form a loop, and
+    RangeError unless the unit delay gives a finite, positive fmax proxy.
     """
     if unit_delay_ns <= 0:
         raise RangeError(f"unit delay must be positive, got {unit_delay_ns}")
     depths = g.validate()
-    counts = {kind: 0 for kind in NodeKind}
-    for node in g.nodes.values():
-        counts[node.kind] += 1
-
-    w = g.width_bits
+    counts = Counter(g.nodes.values())
     lut = sum(
-        LUT_PER_BIT[node.kind.value] * w
-        for node in g.nodes.values()
-        if node.kind in _COMBINATIONAL
+        LUT_PER_BIT[kind.value] * g.width_bits
+        for kind in g.nodes.values()
+        if kind in _COMBINATIONAL
     )
     depth = max(depths.values(), default=0)
+    fmax = 1000.0 / (depth * unit_delay_ns) if depth else float("inf")
+    if depth and not 0 < fmax < float("inf"):
+        raise RangeError(
+            f"unit delay {unit_delay_ns} ns gives fmax proxy {fmax} MHz; "
+            "it must be finite and positive"
+        )
     return CostReport(
         variant=g.variant,
         register_count=counts[NodeKind.REGISTER],
@@ -266,7 +256,7 @@ def estimate_cost(
         mux_count=counts[NodeKind.MUX],
         lut_equiv=lut,
         critical_path_depth=depth,
-        fmax_proxy_mhz=1000.0 / (depth * unit_delay_ns) if depth else float("inf"),
+        fmax_proxy_mhz=fmax,
     )
 
 
@@ -389,22 +379,14 @@ def compare_variants(
     )
 
 
-def recompute_reduction_percentages(ref: PaperReference = PAPER_REFERENCE) -> dict:
-    """Recompute the published comparison percentages, 100*(ours-theirs)/theirs,
-    from the comparison table's own input columns."""
-    return {
-        name: _pct(getattr(ref, ours), getattr(ref, theirs))
-        for name, ours, theirs, _ in COMPARISON
-    }
-
-
 def reduction_check(
     ref: PaperReference = PAPER_REFERENCE, tol: float = COMPARISON_TOLERANCE
 ) -> list[tuple[str, float, float, bool]]:
-    """Each row: (name, recomputed, printed, within tolerance)."""
-    recomputed = recompute_reduction_percentages(ref)
+    """Recompute each published comparison percentage, 100*(ours-theirs)/theirs,
+    from the comparison table's own input columns, and check it against the
+    printed one. Each row: (name, recomputed, printed, within tolerance)."""
     rows = []
-    for name, _, _, printed in COMPARISON:
-        got, want = recomputed[name], getattr(ref, printed)
+    for name, ours, theirs, printed in COMPARISON:
+        got, want = _pct(getattr(ref, ours), getattr(ref, theirs)), getattr(ref, printed)
         rows.append((name, got, want, abs(got - want) <= tol))
     return rows

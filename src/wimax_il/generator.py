@@ -26,14 +26,15 @@ equivalence with the modeled circuit is claimed, not its internal wiring.
 Configuration-time constants (d, s, -d*s) are precomputed at reset;
 the per-step datapath never divides or multiplies.
 
-The op census is not kept inside the loop. The loop counts its three
-branch events (r wraps, v resets, s_phase resets), and EVENT_OPS turns
-those counts into operation totals: each row is the datapath work one
-occurrence of that event costs.
+The op census is not kept inside the loop. A block's branch counts are
+fixed by (n_cbps, d, s): d r wraps, d//s v resets and n_cbps/s s_phase
+resets. _add_block_census writes the operation totals from them in closed
+form, and run() asserts the end-of-block counter values that pin its loop
+to those counts.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 
 from .config import InterleaverConfig
 from .reference import AddressTable, Direction
@@ -60,29 +61,22 @@ class OpCensus:
         return sum(astuple(self))
 
 
-# Datapath operations per occurrence of each event in run()'s loop.
-EVENT_OPS = {
-    # r + dv/dv_lo, u + q, r + d, s_phase + 1, step counter + 1 (add 5);
-    # s_phase >= tv, r >= n_cbps, s_phase == s (compare 3);
-    # the dv/dv_lo correction (select 1)
-    "step": OpCensus(add=5, compare=3, select=1),
-    # r - n_cbps (sub 1); q + 1, v + 1 (add 2); v == s (compare 1)
-    "wrap": OpCensus(add=2, sub=1, compare=1),
-    # v, dv, dv_lo, tv load their reset values (select 4)
-    "v_reset": OpCensus(select=4),
-    # dv + d, dv_lo + d (add 2); tv - 1 (sub 1)
-    "v_advance": OpCensus(add=2, sub=1),
-    # s_phase loads 0 (select 1)
-    "s_reset": OpCensus(select=1),
-}
-
-
-def _tally(census: OpCensus, counts: dict[str, int]) -> None:
-    """Add counts[event] times EVENT_OPS[event] to census, for every event."""
-    for event, ops in EVENT_OPS.items():
-        for f in fields(OpCensus):
-            total = getattr(census, f.name) + counts[event] * getattr(ops, f.name)
-            setattr(census, f.name, total)
+def _add_block_census(census: OpCensus, n: int, d: int, s: int) -> None:
+    """Add one n_cbps-step block's datapath operation counts to census."""
+    wraps = d  # r gains d per step, d*n_cbps in all, and ends the block at 0
+    v_resets = d // s  # v counts the wraps and resets on every s-th one
+    v_advances = wraps - v_resets  # every other wrap advances dv, dv_lo, tv
+    s_resets = n // s  # s_phase resets on every s-th step; s divides n_cbps
+    # per step: r + dv/dv_lo, u + q, r + d, s_phase + 1, step counter + 1;
+    # per wrap: q + 1, v + 1; per v advance: dv + d, dv_lo + d
+    census.add += 5 * n + 2 * wraps + 2 * v_advances
+    # per wrap: r - n_cbps; per v advance: tv - 1
+    census.sub += wraps + v_advances
+    # per step: s_phase >= tv, r >= n_cbps, s_phase == s; per wrap: v == s
+    census.compare += 3 * n + wraps
+    # per step: the dv/dv_lo select; per v reset: v, dv, dv_lo, tv load
+    # their reset values; per s_phase reset: s_phase loads 0
+    census.select += n + 4 * v_resets + s_resets
 
 
 def run(cfg: InterleaverConfig, census: OpCensus | None = None) -> AddressTable:
@@ -98,7 +92,6 @@ def run(cfg: InterleaverConfig, census: OpCensus | None = None) -> AddressTable:
     neg_ds = -(d * s)  # wired constant, the dv_lo reset value
     r = q = v = dv = s_phase = 0
     dv_lo, tv = neg_ds, s
-    wraps = v_resets = s_resets = 0
     addresses = []
     emit = addresses.append
     for _ in range(n):
@@ -113,10 +106,8 @@ def run(cfg: InterleaverConfig, census: OpCensus | None = None) -> AddressTable:
             r -= n
             q += 1
             v += 1
-            wraps += 1
             if v == s:
                 v, dv, dv_lo, tv = 0, 0, neg_ds, s  # register resets
-                v_resets += 1
             else:
                 dv += d
                 dv_lo += d
@@ -126,15 +117,9 @@ def run(cfg: InterleaverConfig, census: OpCensus | None = None) -> AddressTable:
         s_phase += 1
         if s_phase == s:
             s_phase = 0
-            s_resets += 1
 
+    # the end state that fixes the branch counts _add_block_census assumes
+    assert r == 0 and q == d and v == d % s and s_phase == 0
     if census is not None:
-        counts = {
-            "step": n,
-            "wrap": wraps,
-            "v_reset": v_resets,
-            "v_advance": wraps - v_resets,
-            "s_reset": s_resets,
-        }
-        _tally(census, counts)
+        _add_block_census(census, n, d, s)
     return AddressTable(cfg, Direction.DEINTERLEAVE, tuple(addresses))

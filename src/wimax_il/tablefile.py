@@ -25,6 +25,9 @@ from .errors import TableFormatError
 from .reference import AddressTable, Direction
 
 FORMAT_LINE = "# wimax-il address table v1"
+# Length of a serialized MAX_NCBPS-bit deinterleave table with d=16, the
+# longest canonical table; every longer file is rejected unparsed.
+MAX_TABLE_CHARS = 764_288
 
 
 def serialize_table(table: AddressTable) -> str:
@@ -90,5 +93,16 @@ def parse_table(text: str) -> AddressTable:
 
 
 def read_table(path: str) -> AddressTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_table(fh.read())
+    """Read and parse a table file. At most MAX_TABLE_CHARS + 1 characters
+    are read, so an oversized file fails without being read whole; a file
+    that is not UTF-8 text fails as a format error."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read(MAX_TABLE_CHARS + 1)
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"not UTF-8 text: {exc}") from exc
+    if len(text) > MAX_TABLE_CHARS:
+        raise TableFormatError(
+            f"longer than the largest table ({MAX_TABLE_CHARS} characters)"
+        )
+    return parse_table(text)

@@ -18,7 +18,7 @@ from wimax_il import (
     compare_variants,
     deinterleave_index,
     interleave_index,
-    recompute_reduction_percentages,
+    reduction_check,
     run,
     validate_config,
 )
@@ -73,7 +73,7 @@ def check_5_burst_dispersal():
 
 
 def check_6_comparison_arithmetic():
-    got = recompute_reduction_percentages()
+    got = {name: recomputed for name, recomputed, _, _ in reduction_check()}
     for key, printed in [
         ("slices_pct", -71.34),
         ("ff_pct", -69.4),

@@ -2,12 +2,15 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wimax_il
 from wimax_il import burst, cost_model
 from wimax_il.cli import main
-from wimax_il.tablefile import read_table
+from wimax_il.config import MAX_NCBPS
+from wimax_il.tablefile import MAX_TABLE_CHARS, read_table
 
 
 def test_gen_writes_expected_prefix(tmp_path, capsys):
@@ -133,6 +136,26 @@ def test_verify_unreadable_table_exits_1(tmp_path):
     assert main(["verify", "--table", str(tmp_path / "missing.csv")]) == 1
 
 
+def test_verify_non_utf8_table_exits_1(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"0,\xff")
+    assert main(["verify", "--table", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {path}: not UTF-8")
+
+
+def test_verify_table_over_the_size_bound_exits_1(tmp_path, capsys):
+    # the largest canonical table passes; one character more is refused unparsed
+    path = tmp_path / "t.csv"
+    assert main(["gen", "--ncbps", str(MAX_NCBPS), "--s", "1", "--out", str(path)]) == 0
+    assert path.stat().st_size == MAX_TABLE_CHARS
+    assert main(["verify", "--table", str(path)]) == 0
+    capsys.readouterr()
+    with open(path, "a") as fh:
+        fh.write("\n")
+    assert main(["verify", "--table", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {path}: longer than the largest table")
+
+
 def test_burst_exit_codes(capsys):
     assert main(["burst", "--ncbps", "192", "--d", "16", "--s", "1", "--b", "12"]) == 0
     out = capsys.readouterr().out
@@ -236,12 +259,18 @@ def test_tradeoff_failed_check_exits_1(monkeypatch, tmp_path, capsys):
     assert rows == {"slices_pct": True, "ff_pct": False, "lut_pct": True, "fmax_pct": True}
 
 
-def test_tradeoff_unit_delay_flag(capsys):
+def test_tradeoff_unit_delay_flag(tmp_path, capsys):
     assert main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", "2.0"]) == 0
     slowed = capsys.readouterr().out
     assert "unit delay 2.0 ns" in slowed
 
-    assert main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", "0"]) == 2
+    for bad in ("0", "-1", "nan", "inf", "1e-320", "1e308"):
+        out = tmp_path / f"tradeoff_{bad}.json"
+        code = main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", bad, "--out", str(out)])
+        assert code == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err, bad
+        assert not out.exists(), bad
 
 
 def test_unknown_subcommand_exits_2():
@@ -251,10 +280,13 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_console_entry_point_subprocess(tmp_path):
+    # run from the directory holding the package under test, so `-m` finds
+    # it whether or not PYTHONPATH names that directory
     proc = subprocess.run(
         [sys.executable, "-m", "wimax_il.cli", "verify", "--ncbps", "32", "--d", "16", "--s", "1"],
         capture_output=True,
         text=True,
+        cwd=Path(wimax_il.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -84,10 +84,15 @@ def test_census_no_division_no_multiplication():
         ((576, 16, 3), OpCensus(add=2934, sub=27, compare=1744, select=788)),
         ((768, 16, 2), OpCensus(add=3888, sub=24, compare=2320, select=1184)),
         ((1152, 16, 3), OpCensus(add=5814, sub=27, compare=3472, select=1556)),
+        ((144, 12, 1), OpCensus(add=744, sub=12, compare=444, select=336)),
+        ((288, 12, 2), OpCensus(add=1476, sub=18, compare=876, select=456)),
+        ((864, 12, 3), OpCensus(add=4360, sub=20, compare=2604, select=1168)),
+        ((2304, 16, 3), OpCensus(add=11574, sub=27, compare=6928, select=3092)),
     ],
 )
 def test_census_is_exact(triple, expected):
-    """Whole-block op counts for every acceptance config, pinned exactly."""
+    """Whole-block op counts for every acceptance config and for d=12 and
+    larger blocks, pinned exactly."""
     census = OpCensus()
     run(validate_config(*triple), census)
     assert census == expected
