@@ -55,6 +55,12 @@ _JSON_SWEEP = (
 # one command can ask for. It admits a sweep of burst lengths 1..116 on the
 # largest block in use (2304 bits), and of every length on up to 723 bits.
 MAX_SWEEP_REPORTS = 1 << 18
+# Most window positions one burst_sweep call may score: each start scores
+# the b positions of its first window, then one more per longer length, so
+# a call scores reports + (b - 1)(n_cbps - b + 1). From length 1 that is the
+# report count; it bounds one long burst length, which makes few reports.
+# It admits --b 8 on a MAX_NCBPS block (524,232 positions).
+MAX_SWEEP_POSITIONS = 1 << 23
 
 
 def window_stats(ordered: list[int]) -> tuple[int, int]:
@@ -148,6 +154,12 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
         raise RangeError(
             f"burst lengths {b}..{last} on {n} bits make {count} reports, "
             f"more than the limit of {MAX_SWEEP_REPORTS}"
+        )
+    positions = count + (b - 1) * (n - b + 1)
+    if positions > MAX_SWEEP_POSITIONS:
+        raise RangeError(
+            f"burst lengths {b}..{last} on {n} bits score {positions} window "
+            f"positions, more than the limit of {MAX_SWEEP_POSITIONS}"
         )
     dmap = [deinterleave_index(cfg, j) for j in range(n)]
     rows: list[list[BurstReport]] = [[] for _ in range(b, last + 1)]

@@ -7,21 +7,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import burst as burst_mod
 from . import generator
 from .config import PRESETS, InterleaverConfig, preset, validate_config
 from .cost_model import DEFAULT_UNIT_DELAY_NS, compare_variants
 from .errors import InterleaverError, RangeError, TableFormatError
-from .reference import AddressTable, Direction, build_table, invert_table
+from .reference import Direction, build_table, invert_table
 from .tablefile import read_table, serialize_table
-
-
-@dataclass
-class CommandOutcome:
-    exit_code: int
-    summary: str
 
 
 def _write(path: str, text: str) -> None:
@@ -29,31 +22,32 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _engine_table(
-    cfg: InterleaverConfig, direction: Direction, engine: str
-) -> AddressTable:
-    if engine == "reference":
-        return build_table(cfg, direction)
-    table = generator.run(cfg)
-    if direction is Direction.INTERLEAVE:
-        table = invert_table(table)
-    return table
+def _resolve_config(args: argparse.Namespace) -> InterleaverConfig:
+    explicit = [v for v in (args.ncbps, args.d, args.s) if v is not None]
+    if args.preset is not None:
+        if explicit:
+            raise RangeError("give either --preset or --ncbps/--d/--s, not both")
+        return preset(args.preset)
+    if args.ncbps is None or args.s is None:
+        raise RangeError("need --ncbps and --s (or --preset)")
+    return validate_config(args.ncbps, args.d if args.d is not None else 16, args.s)
 
 
-def cmd_gen(
-    cfg: InterleaverConfig,
-    direction: Direction,
-    engine: str,
-    out: str | None,
-) -> CommandOutcome:
-    table = _engine_table(cfg, direction, engine)
+def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
+    cfg, direction = _resolve_config(args), Direction(args.dir)
+    if args.engine == "reference":
+        table = build_table(cfg, direction)
+    else:
+        table = generator.run(cfg)
+        if direction is Direction.INTERLEAVE:
+            table = invert_table(table)
     text = serialize_table(table)
-    if out is None:
-        return CommandOutcome(0, text.rstrip("\n"))
-    _write(out, text)
-    return CommandOutcome(
-        0,
-        f"wrote {cfg.n_cbps}-row {direction.value} table ({engine} engine) to {out}",
+    if args.out is None:
+        return 0, text.rstrip("\n")
+    _write(args.out, text)
+    return 0, (
+        f"wrote {cfg.n_cbps}-row {direction.value} table "
+        f"({args.engine} engine) to {args.out}"
     )
 
 
@@ -82,96 +76,63 @@ def _verify_config(cfg: InterleaverConfig) -> tuple[str, bool]:
     return row, ok
 
 
-def cmd_verify(
-    cfgs: list[InterleaverConfig] | None = None,
-    table_path: str | None = None,
-) -> CommandOutcome:
-    if table_path is not None:
-        try:
-            table = read_table(table_path)
-        except (TableFormatError, OSError) as exc:
-            return CommandOutcome(1, f"FAIL {table_path}: {exc}")
-        checks = []
-        perm_ok = table.is_permutation()
-        checks.append(("permutation", perm_ok))
-        if perm_ok:
-            expected = build_table(table.cfg, table.direction)
-            checks.append(("matches reference", table.map == expected.map))
-        lines = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in checks]
-        all_ok = all(ok for _, ok in checks)
-        verdict = "PASS" if all_ok else "FAIL"
-        summary = "\n".join(lines + [f"{verdict} {table_path}"])
-        return CommandOutcome(0 if all_ok else 1, summary)
+def _verify_table(path: str) -> tuple[int, str]:
+    """Check a table file: a permutation, and the reference table it names."""
+    try:
+        table = read_table(path)
+    except (TableFormatError, OSError) as exc:
+        return 1, f"FAIL {path}: {exc}"
+    perm_ok = table.is_permutation()
+    checks = [("permutation", perm_ok)]
+    if perm_ok:
+        expected = build_table(table.cfg, table.direction)
+        checks.append(("matches reference", table.map == expected.map))
+    all_ok = all(ok for _, ok in checks)
+    lines = [f"{name}: {'ok' if ok else 'FAIL'}" for name, ok in checks]
+    lines.append(f"{'PASS' if all_ok else 'FAIL'} {path}")
+    return 0 if all_ok else 1, "\n".join(lines)
 
-    assert cfgs
-    rows, oks = [], []
-    for cfg in cfgs:
-        row, ok = _verify_config(cfg)
-        rows.append(row)
-        oks.append(ok)
+
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    config_given = any(v is not None for v in (args.ncbps, args.d, args.s, args.preset))
+    if (args.table is not None) + args.all_presets + config_given > 1:
+        raise RangeError("give one of --table, --all-presets and a config, not more")
+    if args.table is not None:
+        return _verify_table(args.table)
+    cfgs = list(PRESETS.values()) if args.all_presets else [_resolve_config(args)]
+    rows, oks = zip(*map(_verify_config, cfgs))
     verdict = "PASS" if all(oks) else "FAIL"
-    rows.append(f"{verdict}: {sum(oks)}/{len(oks)} configs clean")
-    return CommandOutcome(0 if all(oks) else 1, "\n".join(rows))
+    summary = f"{verdict}: {sum(oks)}/{len(oks)} configs clean"
+    return 0 if all(oks) else 1, "\n".join([*rows, summary])
 
 
-def cmd_burst(
-    cfg: InterleaverConfig,
-    b: int | None,
-    sweep_max: int | None,
-    out: str | None = None,
-    json_out: str | None = None,
-) -> CommandOutcome:
-    if (b is None) == (sweep_max is None):
+def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
+    cfg = _resolve_config(args)
+    if (args.b is None) == (args.sweep_max is None):
         raise RangeError("give exactly one of --b and --sweep-max")
-    if b is not None:
-        result = burst_mod.burst_sweep(cfg, b)
-    elif sweep_max < 1:
+    if args.b is not None:
+        result = burst_mod.burst_sweep(cfg, args.b)
+    elif args.sweep_max < 1:
         raise RangeError("--sweep-max must be at least 1")
     else:
-        result = burst_mod.burst_sweep(cfg, 1, sweep_max)
+        result = burst_mod.burst_sweep(cfg, 1, args.sweep_max)
     lines = burst_mod.summary_lines(result)
-    if out:
-        _write(out, burst_mod.render_csv(result))
-        lines.append(f"wrote CSV report to {out}")
-    if json_out:
-        _write(json_out, burst_mod.render_json(result))
-        lines.append(f"wrote JSON report to {json_out}")
-    return CommandOutcome(0, "\n".join(lines))
+    if args.out:
+        _write(args.out, burst_mod.render_csv(result))
+        lines.append(f"wrote CSV report to {args.out}")
+    if args.json_out:
+        _write(args.json_out, burst_mod.render_json(result))
+        lines.append(f"wrote JSON report to {args.json_out}")
+    return 0, "\n".join(lines)
 
 
-def cmd_tradeoff(
-    cfg: InterleaverConfig,
-    out: str | None = None,
-    unit_delay_ns: float = DEFAULT_UNIT_DELAY_NS,
-) -> CommandOutcome:
-    report = compare_variants(cfg, unit_delay_ns)
+def cmd_tradeoff(args: argparse.Namespace) -> tuple[int, str]:
+    report = compare_variants(_resolve_config(args), args.unit_delay_ns)
     lines = [report.render_text()]
-    if out:
-        _write(out, report.render_json())
-        lines.append(f"wrote JSON report to {out}")
-    return CommandOutcome(0 if report.ok else 1, "\n".join(lines))
-
-
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ncbps", type=int, help="coded bits per OFDM symbol")
-    p.add_argument("--d", type=int, default=None, help="column count (12 or 16; default 16)")
-    p.add_argument("--s", type=int, help="significance parameter (1, 2, or 3)")
-    p.add_argument(
-        "--preset",
-        choices=sorted(PRESETS),
-        help="named configuration instead of the explicit triple",
-    )
-
-
-def _resolve_config(args: argparse.Namespace) -> InterleaverConfig:
-    explicit = [v for v in (args.ncbps, args.d, args.s) if v is not None]
-    if args.preset is not None:
-        if explicit:
-            raise RangeError("give either --preset or --ncbps/--d/--s, not both")
-        return preset(args.preset)
-    if args.ncbps is None or args.s is None:
-        raise RangeError("need --ncbps and --s (or --preset)")
-    return validate_config(args.ncbps, args.d if args.d is not None else 16, args.s)
+    if args.out:
+        _write(args.out, report.render_json())
+        lines.append(f"wrote JSON report to {args.out}")
+    return 0 if report.ok else 1, "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,8 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate an address table file")
-    _add_config_args(p_gen)
+    def command(name, help, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--ncbps", type=int, help="coded bits per OFDM symbol")
+        p.add_argument("--d", type=int, default=None, help="column count (12 or 16; default 16)")
+        p.add_argument("--s", type=int, help="significance parameter (1, 2, or 3)")
+        p.add_argument(
+            "--preset",
+            choices=sorted(PRESETS),
+            help="named configuration instead of the explicit triple",
+        )
+        return p
+
+    p_gen = command("gen", "generate an address table file", cmd_gen)
     p_gen.add_argument(
         "--dir",
         choices=[d.value for d in Direction],
@@ -200,15 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--out", help="output path (stdout when omitted)")
 
-    p_verify = sub.add_parser("verify", help="run invariant checks")
-    _add_config_args(p_verify)
+    p_verify = command("verify", "run invariant checks", cmd_verify)
     p_verify.add_argument(
         "--all-presets", action="store_true", help="verify every shipped preset"
     )
     p_verify.add_argument("--table", help="verify a table file instead")
 
-    p_burst = sub.add_parser("burst", help="burst-error dispersal sweep")
-    _add_config_args(p_burst)
+    # looked up on every build_parser call, so a patched cli.cmd_burst is the one run
+    p_burst = command("burst", "burst-error dispersal sweep", cmd_burst)
     p_burst.add_argument("--b", type=int, help="burst length to sweep")
     p_burst.add_argument(
         "--sweep-max", type=int, help="sweep every burst length 1..M"
@@ -216,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_burst.add_argument("--out", help="CSV report path")
     p_burst.add_argument("--json-out", help="JSON report path")
 
-    p_trade = sub.add_parser("tradeoff", help="area-vs-speed datapath report")
-    _add_config_args(p_trade)
+    p_trade = command("tradeoff", "area-vs-speed datapath report", cmd_tradeoff)
     p_trade.add_argument("--out", help="JSON report path")
     p_trade.add_argument(
         "--unit-delay-ns",
@@ -230,45 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            outcome = cmd_gen(
-                _resolve_config(args),
-                Direction(args.dir),
-                args.engine,
-                args.out,
-            )
-        elif args.command == "verify":
-            if args.table is not None:
-                outcome = cmd_verify(table_path=args.table)
-            elif args.all_presets:
-                outcome = cmd_verify(cfgs=list(PRESETS.values()))
-            else:
-                outcome = cmd_verify(cfgs=[_resolve_config(args)])
-        elif args.command == "burst":
-            outcome = cmd_burst(
-                _resolve_config(args),
-                args.b,
-                args.sweep_max,
-                args.out,
-                args.json_out,
-            )
-        else:
-            outcome = cmd_tradeoff(
-                _resolve_config(args), args.out, args.unit_delay_ns
-            )
+        code, text = args.handler(args)
     except (InterleaverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(outcome.summary)
-    return outcome.exit_code
-
-
-def entrypoint() -> None:
-    sys.exit(main())
+    print(text)
+    return code
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

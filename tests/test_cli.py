@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +9,34 @@ from pathlib import Path
 import pytest
 
 import wimax_il
+import wimax_il.cli
 from wimax_il import burst, cost_model
-from wimax_il.cli import main
+from wimax_il.cli import build_parser, main
 from wimax_il.config import MAX_NCBPS
 from wimax_il.tablefile import MAX_TABLE_CHARS, read_table
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_each_subcommand_options_defaults_and_handler():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    config = [("--ncbps", None), ("--d", None), ("--s", None), ("--preset", None)]
+    expected = {
+        "gen": [("--dir", "deinterleave"), ("--engine", "reference"), ("--out", None)],
+        "verify": [("--all-presets", False), ("--table", None)],
+        "burst": [("--b", None), ("--sweep-max", None), ("--out", None), ("--json-out", None)],
+        "tradeoff": [("--out", None), ("--unit-delay-ns", 1.0)],
+    }
+    assert list(subparsers.choices) == list(expected)
+    for name, sub in subparsers.choices.items():
+        options = [
+            ("/".join(action.option_strings), action.default)
+            for action in sub._actions
+            if action.option_strings != ["-h", "--help"]
+        ]
+        assert options == config + expected[name], name
+        assert sub.get_default("handler") is getattr(wimax_il.cli, f"cmd_{name}"), name
 
 
 def test_gen_writes_expected_prefix(tmp_path, capsys):
@@ -84,6 +110,26 @@ def test_verify_all_presets(capsys):
     assert main(["verify", "--all-presets"]) == 0
     out = capsys.readouterr().out
     assert "PASS: 3/3 configs clean" in out
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--all-presets", "--ncbps", "7", "--s", "9"],
+        ["--all-presets", "--table", "t.csv"],
+        ["--table", "t.csv", "--preset", "qpsk"],
+    ],
+    ids=["presets_and_config", "presets_and_table", "table_and_config"],
+)
+def test_verify_refuses_more_than_one_mode(tmp_path, capsys, modes):
+    path = tmp_path / "t.csv"
+    assert main(["gen", "--preset", "qpsk", "--out", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["verify", *(str(path) if arg == "t.csv" else arg for arg in modes)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give one of --table, --all-presets and a config" in captured.err
 
 
 def test_verify_single_config_counts(capsys):
@@ -222,6 +268,35 @@ def test_burst_sweep_over_the_report_cap_exits_2_at_once(tmp_path, monkeypatch, 
         assert not csv_path.exists() and not json_path.exists()
 
 
+def test_burst_over_the_position_cap_exits_2_at_once(tmp_path, monkeypatch, capsys):
+    # one long burst length makes few reports but scores b positions per start
+    def no_work(*args):
+        raise AssertionError("the sweep started before the cap was checked")
+
+    monkeypatch.setattr(burst, "deinterleave_index", no_work)
+    csv_path, json_path = tmp_path / "burst.csv", tmp_path / "burst.json"
+    for n, b, positions in [(9216, 4608, 4608 * 4609), (65536, 32768, 32768 * 32769),
+                            (9216, 1024, 1024 * 8193)]:
+        code = main(
+            [
+                "burst", "--ncbps", str(n), "--s", "1", "--b", str(b),
+                "--out", str(csv_path), "--json-out", str(json_path),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"score {positions} window positions" in captured.err
+        assert f"more than the limit of {burst.MAX_SWEEP_POSITIONS}" in captured.err
+        assert not csv_path.exists() and not json_path.exists()
+
+
+def test_burst_position_cap_admits_b8_on_the_largest_block(capsys):
+    # 8 * 65529 = 524,232 window positions
+    assert main(["burst", "--ncbps", str(MAX_NCBPS), "--s", "1", "--b", "8"]) == 0
+    assert f"over {MAX_NCBPS - 7} starts" in capsys.readouterr().out
+
+
 def test_burst_requires_exactly_one_mode():
     assert main(["burst", "--ncbps", "32", "--d", "16", "--s", "1"]) == 2
     assert main(
@@ -264,7 +339,14 @@ def test_tradeoff_unit_delay_flag(tmp_path, capsys):
     slowed = capsys.readouterr().out
     assert "unit delay 2.0 ns" in slowed
 
-    for bad in ("0", "-1", "nan", "inf", "1e-320", "1e308"):
+    width = {}
+    for delay in ("1.0", "0.001", "1000"):
+        assert main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", delay]) == 0
+        rows = capsys.readouterr().out.split("paper_reference")[0].splitlines()
+        width[delay] = [len(row) for row in rows if not row.startswith("model:")]
+    assert width["0.001"] == width["1.0"] == width["1000"]
+
+    for bad in ("0", "-1", "nan", "inf", "1e-320", "1e308", "1e-300", "1e4"):
         out = tmp_path / f"tradeoff_{bad}.json"
         code = main(["tradeoff", "--preset", "qpsk", "--unit-delay-ns", bad, "--out", str(out)])
         assert code == 2, bad
@@ -290,3 +372,16 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_acceptance_script_prints_eight_pass_lines():
+    proc = subprocess.run(
+        [sys.executable, "tests/test_acceptance.py"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 8 and all(line.endswith(": PASS") for line in lines), lines
