@@ -9,16 +9,15 @@ update that score one position at a time (see burst_sweep). Runs of
 consecutive errors longer than RS_MAX_CORRECTABLE_RUN are treated as
 uncorrectable.
 
-The report is written here too: summary_lines for stdout, render_csv and
-render_json for the files. COLUMNS names the per-start fields once, in
-BurstReport's field order, for the CSV header, its rows and the JSON keys.
+The report is written here too: summary_lines for stdout, csv_chunks and
+json_chunks for the files, one burst length per chunk. COLUMNS names the
+per-start fields once, in BurstReport's field order, for the CSV header,
+its rows and the JSON keys.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -93,8 +92,7 @@ class BurstReport(NamedTuple):
     rs_correctable: bool
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Every report of one burst_sweep call, in CSV row order (by burst
     length, then start), and the worst run of each swept length."""
 
@@ -226,34 +224,43 @@ def summary_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def render_csv(result: SweepResult) -> str:
+def csv_chunks(result: SweepResult) -> Iterator[str]:
+    """The CSV report: its header, then the rows of one burst length per
+    chunk, so that a writer holds one length's rows at a time."""
     cfg = result.cfg
-    lines = [
-        FORMAT_LINE,
-        f"# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}",
-        f"# columns: {','.join(COLUMNS)}",
-        f"# note: {RS_CRITERION_NOTE}",
-    ]
-    lines.extend(_CSV_ROW % r for r in result.reports)
-    return "\n".join(lines) + "\n"
+    yield (
+        f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
+        f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
+    )
+    for _, reports, _ in result.per_length():
+        yield "\n".join([_CSV_ROW % r for r in reports]) + "\n"
 
 
-def render_json(result: SweepResult) -> str:
-    """The report as json.dumps(payload, indent=2) would write it, with
-    payload = {"config", "rs_criterion_note", "sweeps": [{"b",
-    "worst_max_run_length", "reports": [one COLUMNS object per report]}]}.
-    Only the header goes through json.dumps; indent makes it pure Python,
-    so the sweeps are written from the fixed templates."""
+def json_chunks(result: SweepResult) -> Iterator[str]:
+    """The report as json.dumps(payload, indent=2) + "\\n" would write it,
+    with payload = {"config", "rs_criterion_note", "sweeps": [{"b",
+    "worst_max_run_length", "reports": [one COLUMNS object per report]}]},
+    one sweep (burst length) per chunk. Only the header goes through
+    json.dumps; indent makes it pure Python, so the sweeps are written from
+    the fixed templates."""
+    import json  # only the JSON report needs it
+
     header = json.dumps(
         {"config": result.cfg.as_dict(), "rs_criterion_note": RS_CRITERION_NOTE},
         indent=2,
     )
-    sweeps = ",\n".join(
-        _JSON_SWEEP % (b, worst, ",\n".join([
+    # header[:-2] drops the closing "\n}" so that "sweeps" joins the object
+    yield f'{header[:-2]},\n  "sweeps": [\n'
+    separator = ""
+    for b, reports, worst in result.per_length():
+        yield separator + _JSON_SWEEP % (b, worst, ",\n".join([
             _JSON_REPORT % (start, length, run, gap, _JSON_BOOL[ok])
             for start, length, run, gap, ok in reports
         ]))
-        for b, reports, worst in result.per_length()
-    )
-    # header[:-2] drops the closing "\n}" so that "sweeps" joins the object
-    return f'{header[:-2]},\n  "sweeps": [\n{sweeps}\n  ]\n}}\n'
+        separator = ",\n"
+    yield "\n  ]\n}\n"
+
+
+def render_json(result: SweepResult) -> str:
+    """The whole JSON report as one string."""
+    return "".join(json_chunks(result))

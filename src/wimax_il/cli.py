@@ -2,24 +2,35 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 Verification commands never exit 0 when any check fails.
+
+Each command imports only what it runs: the generator, burst and cost-model
+modules are imported inside the handlers that use them.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Iterable
+from functools import cache
 
-from . import burst as burst_mod
-from . import generator
-from .config import PRESETS, InterleaverConfig, preset, validate_config
-from .cost_model import DEFAULT_UNIT_DELAY_NS, compare_variants
+from .config import DEFAULT_UNIT_DELAY_NS, PRESETS, InterleaverConfig, preset, validate_config
 from .errors import InterleaverError, RangeError, TableFormatError
 from .reference import Direction, build_table, invert_table
 from .tablefile import read_table, serialize_table
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str | Iterable[str]) -> None:
+    """Write a text, or its chunks one at a time, to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
+
+
+def compare_variants(cfg: InterleaverConfig, unit_delay_ns: float):
+    """cost_model.compare_variants, imported on the first trade-off report."""
+    from .cost_model import compare_variants
+
+    return compare_variants(cfg, unit_delay_ns)
 
 
 def _resolve_config(args: argparse.Namespace) -> InterleaverConfig:
@@ -34,6 +45,8 @@ def _resolve_config(args: argparse.Namespace) -> InterleaverConfig:
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
+    from . import generator
+
     cfg, direction = _resolve_config(args), Direction(args.dir)
     if args.engine == "reference":
         table = build_table(cfg, direction)
@@ -53,6 +66,8 @@ def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
 
 def _verify_config(cfg: InterleaverConfig) -> tuple[str, bool]:
     """One row of the verification matrix."""
+    from . import generator
+
     itab = build_table(cfg, Direction.INTERLEAVE)
     dtab = build_table(cfg, Direction.DEINTERLEAVE)
     bijective = itab.is_permutation() and dtab.is_permutation()
@@ -107,21 +122,23 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
+    from . import burst
+
     cfg = _resolve_config(args)
     if (args.b is None) == (args.sweep_max is None):
         raise RangeError("give exactly one of --b and --sweep-max")
     if args.b is not None:
-        result = burst_mod.burst_sweep(cfg, args.b)
+        result = burst.burst_sweep(cfg, args.b)
     elif args.sweep_max < 1:
         raise RangeError("--sweep-max must be at least 1")
     else:
-        result = burst_mod.burst_sweep(cfg, 1, args.sweep_max)
-    lines = burst_mod.summary_lines(result)
+        result = burst.burst_sweep(cfg, 1, args.sweep_max)
+    lines = burst.summary_lines(result)
     if args.out:
-        _write(args.out, burst_mod.render_csv(result))
+        _write(args.out, burst.csv_chunks(result))
         lines.append(f"wrote CSV report to {args.out}")
     if args.json_out:
-        _write(args.json_out, burst_mod.render_json(result))
+        _write(args.json_out, burst.json_chunks(result))
         lines.append(f"wrote JSON report to {args.json_out}")
     return 0, "\n".join(lines)
 
@@ -135,7 +152,10 @@ def cmd_tradeoff(args: argparse.Namespace) -> tuple[int, str]:
     return 0 if report.ok else 1, "\n".join(lines)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The program's parser, built once per process and shared by every
+    call, so callers do not change it."""
     parser = argparse.ArgumentParser(
         prog="wimax-il",
         description=(
@@ -145,9 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, handler) -> argparse.ArgumentParser:
+    def command(name, help) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
         p.add_argument("--ncbps", type=int, help="coded bits per OFDM symbol")
         p.add_argument("--d", type=int, default=None, help="column count (12 or 16; default 16)")
         p.add_argument("--s", type=int, help="significance parameter (1, 2, or 3)")
@@ -158,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p_gen = command("gen", "generate an address table file", cmd_gen)
+    p_gen = command("gen", "generate an address table file")
     p_gen.add_argument(
         "--dir",
         choices=[d.value for d in Direction],
@@ -173,14 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--out", help="output path (stdout when omitted)")
 
-    p_verify = command("verify", "run invariant checks", cmd_verify)
+    p_verify = command("verify", "run invariant checks")
     p_verify.add_argument(
         "--all-presets", action="store_true", help="verify every shipped preset"
     )
     p_verify.add_argument("--table", help="verify a table file instead")
 
-    # looked up on every build_parser call, so a patched cli.cmd_burst is the one run
-    p_burst = command("burst", "burst-error dispersal sweep", cmd_burst)
+    p_burst = command("burst", "burst-error dispersal sweep")
     p_burst.add_argument("--b", type=int, help="burst length to sweep")
     p_burst.add_argument(
         "--sweep-max", type=int, help="sweep every burst length 1..M"
@@ -188,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_burst.add_argument("--out", help="CSV report path")
     p_burst.add_argument("--json-out", help="JSON report path")
 
-    p_trade = command("tradeoff", "area-vs-speed datapath report", cmd_tradeoff)
+    p_trade = command("tradeoff", "area-vs-speed datapath report")
     p_trade.add_argument("--out", help="JSON report path")
     p_trade.add_argument(
         "--unit-delay-ns",
@@ -203,11 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, text = args.handler(args)
+        # the handler is looked up on every call, so a patched cmd_<name> runs
+        code, text = globals()[f"cmd_{args.command}"](args)
+        print(text)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
     except (InterleaverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # what is still buffered goes nowhere at exit, instead of failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    print(text)
     return code
 
 

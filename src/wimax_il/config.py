@@ -7,7 +7,7 @@ two), and the constellation-significance parameter s (1 for QPSK, 2 for
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import DivisibilityError, RangeError
 
@@ -19,10 +19,19 @@ DEFAULT_D = 16
 # for, far above the blocks in use (at most 2304 bits), not a PHY constant.
 MAX_NCBPS = 65536
 
+# The trade-off model's combinational unit delay; here so that the CLI's
+# option default needs no cost model.
+DEFAULT_UNIT_DELAY_NS = 1.0
 
-@dataclass(frozen=True)
-class InterleaverConfig:
-    """Validated (n_cbps, d, s) triple; immutable once constructed.
+
+class _Triple(NamedTuple):
+    n_cbps: int
+    d: int
+    s: int
+
+
+class InterleaverConfig(_Triple):
+    """Validated (n_cbps, d, s) triple; an immutable named tuple.
 
     Invariants enforced at construction:
       d in {12, 16}; s in {1, 2, 3}; 2*d <= n_cbps <= MAX_NCBPS;
@@ -32,12 +41,10 @@ class InterleaverConfig:
     the column structure; every standard configuration satisfies it.
     """
 
-    n_cbps: int
-    d: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n, d, s = self.n_cbps, self.d, self.s
+    def __new__(cls, n_cbps: int, d: int, s: int) -> "InterleaverConfig":
+        n = n_cbps
         if d not in ALLOWED_D:
             raise RangeError(f"d must be one of {ALLOWED_D}, got {d}")
         if s not in ALLOWED_S:
@@ -52,6 +59,11 @@ class InterleaverConfig:
             raise DivisibilityError(
                 f"s = {s} does not divide the row count n_cbps/d = {n // d}"
             )
+        return super().__new__(cls, n_cbps, d, s)
+
+    @classmethod
+    def _make(cls, iterable) -> "InterleaverConfig":
+        return cls(*iterable)  # so that _replace checks the invariants too
 
     @property
     def rows(self) -> int:
@@ -92,8 +104,7 @@ def preset(name: str) -> InterleaverConfig:
         raise RangeError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
 
 
-@dataclass(frozen=True)
-class PaperReference:
+class PaperReference(NamedTuple):
     """Published synthesis figures for the deinterleaver address generator
     this library models (Xilinx ISE, Spartan-3 XC3S400/PQ208, speed -5).
 
@@ -138,7 +149,7 @@ class PaperReference:
     toolchain: str = "Xilinx ISE"
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 PAPER_REFERENCE = PaperReference()

@@ -25,11 +25,10 @@ tradeoff command's verdict.
 from __future__ import annotations
 
 import enum
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
-from .config import PAPER_REFERENCE, InterleaverConfig, PaperReference
+from .config import DEFAULT_UNIT_DELAY_NS, PAPER_REFERENCE, InterleaverConfig, PaperReference
 from .errors import CyclicGraph, RangeError
 
 # LUT-equivalent weights per bit of datapath width; declared arbitrary.
@@ -38,7 +37,6 @@ from .errors import CyclicGraph, RangeError
 # enough for every intermediate value.
 LUT_PER_BIT = {"adder": 1.0, "subtractor": 1.0, "comparator": 1.0, "mux": 0.5}
 
-DEFAULT_UNIT_DELAY_NS = 1.0
 # Accepted unit delays. At the least, on the speed variant's depth-3 chain,
 # the fmax proxy is 333333.33 MHz, which still fits the text report's columns.
 MIN_UNIT_DELAY_NS = 0.001
@@ -77,7 +75,6 @@ class Variant(str, enum.Enum):
     SPEED = "speed"
 
 
-@dataclass
 class DatapathGraph:
     """Directed primitive-level structure: nodes plus data-dependency edges.
 
@@ -86,10 +83,11 @@ class DatapathGraph:
     added later: validate() checks them once the graph is complete.
     """
 
-    variant: str
-    width_bits: int
-    nodes: dict[str, NodeKind] = field(default_factory=dict)
-    preds: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    def __init__(self, variant: str, width_bits: int) -> None:
+        self.variant = variant
+        self.width_bits = width_bits
+        self.nodes: dict[str, NodeKind] = {}
+        self.preds: dict[str, tuple[str, ...]] = {}
 
     def add(self, name: str, kind: NodeKind, *inputs: str) -> None:
         if name in self.nodes:
@@ -129,8 +127,7 @@ class DatapathGraph:
         return depths
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Structural resource/timing estimate; not a synthesis result."""
 
     variant: str
@@ -143,7 +140,7 @@ class CostReport:
     fmax_proxy_mhz: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def width_bits(cfg: InterleaverConfig) -> int:
@@ -263,8 +260,7 @@ def estimate_cost(
     )
 
 
-@dataclass(frozen=True)
-class TradeoffReport:
+class TradeoffReport(NamedTuple):
     cfg: InterleaverConfig
     area: CostReport
     speed: CostReport
@@ -303,6 +299,8 @@ class TradeoffReport:
         }
 
     def render_json(self) -> str:
+        import json  # only the JSON report needs it
+
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
     def render_text(self) -> str:

@@ -34,13 +34,10 @@ to those counts.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-
 from .config import InterleaverConfig
 from .reference import AddressTable, Direction
 
 
-@dataclass
 class OpCensus:
     """Operation counts accumulated over generator steps.
 
@@ -49,16 +46,29 @@ class OpCensus:
     present so their absence is visible: the counter loop has none.
     """
 
-    add: int = 0
-    sub: int = 0
-    compare: int = 0
-    select: int = 0
-    div: int = 0
-    mul: int = 0
-    generic_floor: int = 0
+    __slots__ = ("add", "sub", "compare", "select", "div", "mul", "generic_floor")
+
+    def __init__(
+        self, add: int = 0, sub: int = 0, compare: int = 0, select: int = 0,
+        div: int = 0, mul: int = 0, generic_floor: int = 0,
+    ) -> None:
+        self.add, self.sub, self.compare, self.select = add, sub, compare, select
+        self.div, self.mul, self.generic_floor = div, mul, generic_floor
+
+    def _counts(self) -> tuple[int, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def total(self) -> int:
-        return sum(astuple(self))
+        return sum(self._counts())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OpCensus):
+            return NotImplemented
+        return self._counts() == other._counts()
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"OpCensus({counts})"
 
 
 def _add_block_census(census: OpCensus, n: int, d: int, s: int) -> None:

@@ -18,8 +18,7 @@ incremental generator is checked against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import InterleaverConfig
 from .errors import IndexOutOfRange, LengthMismatch, NotAPermutation
@@ -55,20 +54,31 @@ def deinterleave_index(cfg: InterleaverConfig, j: int) -> int:
     return d * m - (n - 1) * ((d * m) // n)
 
 
-@dataclass(frozen=True)
-class AddressTable:
-    """A full permutation of [0, n_cbps): map[i] is the output index of
-    input index i. Tables apply write-side (see apply_permutation)."""
-
+class _Table(NamedTuple):
     cfg: InterleaverConfig
     direction: Direction
     map: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.map) != self.cfg.n_cbps:
+
+class AddressTable(_Table):
+    """A full permutation of [0, n_cbps): map[i] is the output index of
+    input index i. Tables apply write-side (see apply_permutation).
+    An immutable named tuple; the length is checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, cfg: InterleaverConfig, direction: Direction, map: tuple[int, ...]
+    ) -> "AddressTable":
+        if len(map) != cfg.n_cbps:
             raise LengthMismatch(
-                f"table has {len(self.map)} rows, config needs {self.cfg.n_cbps}"
+                f"table has {len(map)} rows, config needs {cfg.n_cbps}"
             )
+        return super().__new__(cls, cfg, direction, map)
+
+    @classmethod
+    def _make(cls, iterable) -> "AddressTable":
+        return cls(*iterable)  # so that _replace checks the length too
 
     def is_permutation(self) -> bool:
         n = self.cfg.n_cbps

@@ -13,11 +13,13 @@ from wimax_il import (
 )
 from wimax_il.burst import (
     COLUMNS,
+    FORMAT_LINE,
     RS_CRITERION_NOTE,
     RS_MAX_CORRECTABLE_RUN,
     render_json,
     window_stats,
 )
+from wimax_il.cli import main
 
 CFG32 = validate_config(32, 16, 1)
 CFG192 = validate_config(192, 16, 1)
@@ -201,9 +203,11 @@ def test_reports_carry_rs_flag():
     ],
     ids=["32_16_1", "qpsk", "qam16", "qam64", "768_12_2"],
 )
-def test_render_json_is_json_dumps_of_the_payload(cfg, max_b):
+def test_render_json_is_json_dumps_of_the_payload(cfg, max_b, tmp_path):
     """The templates write the bytes json.dumps(indent=2) writes for the
-    report payload, built here from one single-length sweep per b."""
+    report payload, built here from one single-length sweep per b; the CLI,
+    which writes both reports one burst length at a time, writes those
+    bytes and the CSV rows of the same reports."""
     sweeps = []
     for b in range(1, max_b + 1):
         reports = burst_sweep(cfg, b).reports
@@ -219,6 +223,21 @@ def test_render_json_is_json_dumps_of_the_payload(cfg, max_b):
     }
     text = render_json(burst_sweep(cfg, 1, max_b))
     assert text == json.dumps(payload, indent=2) + "\n"
+
+    csv_path, json_path = tmp_path / "burst.csv", tmp_path / "burst.json"
+    triple = ["--ncbps", str(cfg.n_cbps), "--d", str(cfg.d), "--s", str(cfg.s)]
+    argv = ["burst", *triple, "--sweep-max", str(max_b),
+            "--out", str(csv_path), "--json-out", str(json_path)]
+    assert main(argv) == 0
+    assert json_path.read_bytes() == text.encode()
+    header = [
+        FORMAT_LINE,
+        f"# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}",
+        f"# columns: {','.join(COLUMNS)}",
+        f"# note: {RS_CRITERION_NOTE}",
+    ]
+    rows = [",".join(str(int(v)) for v in r.values()) for s in sweeps for r in s["reports"]]
+    assert csv_path.read_bytes() == "".join(f"{line}\n" for line in [*header, *rows]).encode()
     if cfg == CFG32:  # b=1's spacing of 0, and uncorrectable rows, are covered
         flat = [r for sweep in sweeps for r in sweep["reports"]]
         assert any(r["min_spacing"] == 0 for r in flat)

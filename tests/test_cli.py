@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +17,7 @@ from wimax_il.tablefile import MAX_TABLE_CHARS, read_table
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_each_subcommand_options_defaults_and_handler():
+def test_each_subcommand_options_defaults_and_handler(monkeypatch):
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     config = [("--ncbps", None), ("--d", None), ("--s", None), ("--preset", None)]
@@ -36,7 +35,24 @@ def test_each_subcommand_options_defaults_and_handler():
             if action.option_strings != ["-h", "--help"]
         ]
         assert options == config + expected[name], name
-        assert sub.get_default("handler") is getattr(wimax_il.cli, f"cmd_{name}"), name
+
+    # main looks each handler up by name on every call, through one cached
+    # parser, so a handler patched after the parser was built still runs
+    calls = []
+
+    def stub_for(name):
+        def stub(args):
+            calls.append((name, args.command))
+            return 0, ""
+
+        return stub
+
+    for name in expected:
+        monkeypatch.setattr(wimax_il.cli, f"cmd_{name}", stub_for(name))
+    for name in [*expected, *expected]:
+        assert main([name]) == 0
+        assert build_parser() is parser
+    assert calls == [(name, name) for name in [*expected, *expected]]
 
 
 def test_gen_writes_expected_prefix(tmp_path, capsys):
@@ -320,7 +336,7 @@ def test_tradeoff_text_and_json(tmp_path, capsys):
 
 
 def test_tradeoff_failed_check_exits_1(monkeypatch, tmp_path, capsys):
-    wrong = dataclasses.replace(cost_model.PAPER_REFERENCE, printed_ff_reduction_pct=0.0)
+    wrong = cost_model.PAPER_REFERENCE._replace(printed_ff_reduction_pct=0.0)
     monkeypatch.setattr(cost_model, "PAPER_REFERENCE", wrong)
     out = tmp_path / "tradeoff.json"
     assert main(["tradeoff", "--preset", "qpsk", "--out", str(out)]) == 1
@@ -372,6 +388,22 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    # the table is far larger than a pipe buffer, so the write meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wimax_il.cli", "gen", "--ncbps", "65536", "--s", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=Path(wimax_il.__file__).parents[1],
+    )
+    assert proc.stdout.readline() == b"# wimax-il address table v1\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    lines = err.decode().splitlines()  # no traceback, no "Exception ignored" at exit
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_acceptance_script_prints_eight_pass_lines():

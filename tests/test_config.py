@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from wimax_il import (
@@ -50,8 +48,18 @@ def test_validate_rejects_out_of_range(n, d, s):
 
 def test_config_is_immutable():
     cfg = validate_config(192, 16, 1)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cfg.n_cbps = 384
+    assert cfg.n_cbps == 192
+
+
+def test_replace_checks_the_invariants():
+    cfg = validate_config(32, 16, 1)
+    assert cfg._replace(n_cbps=64) == validate_config(64, 16, 1)
+    with pytest.raises(RangeError):
+        cfg._replace(d=7)
+    with pytest.raises(DivisibilityError):
+        cfg._replace(s=3)
 
 
 def test_validate_matches_invariants_exhaustively():
@@ -92,5 +100,6 @@ def test_reference_constants_carried_verbatim():
     assert ref.upadhyaya_slices_pct == 3.49
     assert ref.upadhyaya_ff_pct == 0.50
     assert ref.upadhyaya_lut_pct == 3.35
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ref.power_mw = 0
+    assert ref.power_mw == 56

@@ -160,3 +160,10 @@ def test_apply_rejects_length_mismatch():
 def test_table_length_is_checked():
     with pytest.raises(LengthMismatch):
         AddressTable(CFG32, Direction.INTERLEAVE, (0, 1, 2))
+
+
+def test_table_replace_checks_the_length():
+    table = build_table(CFG32, Direction.INTERLEAVE)
+    with pytest.raises(LengthMismatch):
+        table._replace(map=(0, 1, 2))
+    assert table._replace(direction=Direction.DEINTERLEAVE).map == table.map
