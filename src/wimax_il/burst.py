@@ -3,22 +3,21 @@
 A channel burst marks b consecutive received positions erroneous. The
 deinterleave map is tabulated once per sweep; the burst starting at
 channel position start then lands on the original positions
-dmap[start:start + b]. window_stats scores the first window of each start
-in one pass over its sorted order, and longer bursts from the same start
-update that score one position at a time (see burst_sweep). Runs of
-consecutive errors longer than RS_MAX_CORRECTABLE_RUN are treated as
-uncorrectable.
+dmap[start:start + b]. window_stats scores the first length of each start
+from its sorted window, and each longer length is scored from the one
+before it (see burst_sweep). Runs of consecutive errors longer than
+RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
 
 The report is written here too: summary_lines for stdout, csv_chunks and
-json_chunks for the files, one burst length per chunk. COLUMNS names the
+json_chunks for the files, one burst length at a time. COLUMNS names the
 per-start fields once, in BurstReport's field order, for the CSV header,
 its rows and the JSON keys.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, repeat
+from operator import sub
 from typing import NamedTuple
 
 from .config import InterleaverConfig
@@ -38,17 +37,14 @@ RS_CRITERION_NOTE = (
 
 FORMAT_LINE = "# wimax-il burst report v1"
 COLUMNS = ("start", "b", "max_run", "min_spacing", "rs_correctable")
-_CSV_ROW = ",".join(["%d"] * len(COLUMNS))  # %d writes the bool as 1/0
-# one element of the JSON "sweeps" and "reports" arrays, laid out as
-# json.dumps(indent=2) lays them out; the flag, last in COLUMNS, is %s
+# one report as a CSV row and as an element of a JSON "reports" array laid
+# out as json.dumps(indent=2) lays it out, with a %s slot per column
+_CSV_ROW = ",".join(["%s"] * len(COLUMNS)) + "\n"
 _JSON_REPORT = "        {\n%s\n        }" % ",\n".join(
-    f'          "{key}": %{"s" if key == COLUMNS[-1] else "d"}' for key in COLUMNS
+    f'          "{key}": %s' for key in COLUMNS
 )
 _JSON_BOOL = ("false", "true")
-_JSON_SWEEP = (
-    '    {\n      "b": %d,\n      "worst_max_run_length": %d,\n'
-    '      "reports": [\n%s\n      ]\n    }'
-)
+_JSON_SWEEP = '    {\n      "b": %d,\n      "worst_max_run_length": %d,\n      "reports": [\n'
 
 # Most reports one burst_sweep call may make: a bound on the time and memory
 # one command can ask for. It admits a sweep of burst lengths 1..116 on the
@@ -93,12 +89,13 @@ class BurstReport(NamedTuple):
 
 
 class SweepResult(NamedTuple):
-    """Every report of one burst_sweep call, in CSV row order (by burst
-    length, then start), and the worst run of each swept length."""
+    """Every report of one burst_sweep call as columns: per swept length b,
+    max_run_length and min_pairwise_spacing by start, and the worst run."""
 
     cfg: InterleaverConfig
     lengths: range
-    reports: tuple[BurstReport, ...]
+    runs: tuple[tuple[int, ...], ...]
+    gaps: tuple[tuple[int, ...], ...]
     worst_runs: tuple[int, ...]
 
     @property
@@ -106,13 +103,16 @@ class SweepResult(NamedTuple):
         """The worst run over every swept length."""
         return max(self.worst_runs)
 
+    @property
+    def reports(self) -> tuple[BurstReport, ...]:
+        """Every report, in CSV row order (by burst length, then start)."""
+        return tuple(chain.from_iterable(rows for _, rows, _ in self.per_length()))
+
     def per_length(self) -> Iterator[tuple[int, tuple[BurstReport, ...], int]]:
         """(b, the reports of length b, their worst run) for each swept b."""
-        at = 0
-        for b, worst in zip(self.lengths, self.worst_runs):
-            count = self.cfg.n_cbps - b + 1
-            yield b, self.reports[at:at + count], worst
-            at += count
+        for b, runs, gaps, worst in zip(self.lengths, self.runs, self.gaps, self.worst_runs):
+            flags = map(RS_MAX_CORRECTABLE_RUN.__ge__, runs)
+            yield b, tuple(map(BurstReport, range(len(runs)), repeat(b), runs, gaps, flags)), worst
 
 
 def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> SweepResult:
@@ -122,23 +122,24 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
     Bursts never wrap around the block boundary: a burst belongs to one
     transmitted symbol, so the starts for length b are 0 .. n_cbps - b.
 
-    For s = 1 and b <= n_cbps/d the worst max_run_length is always 1: two
-    channel positions land adjacent in the original order only if they are
-    exactly n_cbps/d apart, and a burst shorter than n_cbps/d + 1 cannot
-    contain such a pair. No closed-form bound is claimed for s in {2, 3};
-    sweeps measure it.
+    First failing length: a burst holds original-adjacent bits k, k + 1 (a
+    run of 2) exactly when it is longer than |pi(k + 1) - pi(k)| for the
+    interleave map pi(k) = s*(m // s) + (m - c) % s, with c = k % d,
+    m = rows*c + k // d and s | rows; so b* = 1 + min_k |pi(k + 1) - pi(k)|.
+    In one row (c < d - 1) m gains rows. For s = 1 that is the distance and
+    a row wrap is rows*(d - 1) - 1, so b* = rows + 1: every burst no longer
+    than rows = n_cbps/d lands on isolated bits. For s = 2, 3 the offset in
+    the s-group also turns back by one, so k, k + 1 are rows - 1 apart, or
+    rows + s - 1 where it wraps, and a row wrap is farther: b* = rows.
 
-    All lengths are swept in one pass. Each start scores its first window
-    with window_stats, then grows it one channel position x at a time,
-    which adds one original position to the sorted window:
-    - min_spacing can only fall. Every neighbour gap of the grown window is
-      either a gap of the old one or one of the two gaps next to x, and a
-      gap that x splits leaves two smaller gaps behind; so the new minimum
-      is the least of the old one and the two gaps next to x.
-    - max_run can only rise. Adding x breaks no run of consecutive
-      positions; it only joins the run ending at x - 1, itself and the run
-      starting at x + 1. The endpoints of every run map to each other, so
-      that merged run is found from those of x - 1 and x + 1.
+    One call sweeps every length. window_stats scores each start's first
+    length b from its sorted window; each longer length L follows from
+    L - 1 in O(1) per start, since every pair and every run of consecutive
+    original bits in the window [s, s + L - 1] avoids its last position,
+    avoids its first, or spans both. So min_spacing(s, L) is the least of
+    ms(s, L - 1), ms(s + 1, L - 1) and |dmap[s] - dmap[s + L - 1]|, and
+    max_run(s, L) the greatest of mr(s, L - 1), mr(s + 1, L - 1) and
+    spans[L][s], the longest run spanning exactly that window.
     """
     n = cfg.n_cbps
     last = b if last is None else last
@@ -160,49 +161,37 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
             f"positions, more than the limit of {MAX_SWEEP_POSITIONS}"
         )
     dmap = [deinterleave_index(cfg, j) for j in range(n)]
-    rows: list[list[BurstReport]] = [[] for _ in range(b, last + 1)]
-    appends = [length_rows.append for length_rows in rows]
-    first_append, grow_appends = appends[0], appends[1:]
-    make = tuple.__new__  # BurstReport(...) without the Python-level __new__
-    limit = RS_MAX_CORRECTABLE_RUN
-    for start in range(n - b + 1):
-        window = sorted(dmap[start:start + b])
-        run, gap = window_stats(window)
-        first_append(make(BurstReport, (start, b, run, gap, run <= limit)))
-        top = min(last, n - start)
-        if top == b:
-            continue
-        if b == 1:
-            gap = n  # no pair yet: the first pair sets the gap
-        ends = {}  # the two endpoints of each run of the window, mapped to each other
-        lo = prev = window[0]
-        for x in window[1:]:
-            if x != prev + 1:
-                ends[lo], ends[prev] = prev, lo
-                lo = x
-            prev = x
-        ends[lo], ends[prev] = prev, lo
-        window = [-n, *window, 2 * n]  # sentinels: no gap to them is ever least
-        pop = ends.pop
-        grown = zip(range(b + 1, top + 1), dmap[start + b:start + top], grow_appends)
-        for length, x, append in grown:
-            k = bisect_left(window, x)
-            if x - window[k - 1] < gap:
-                gap = x - window[k - 1]
-            if window[k] - x < gap:
-                gap = window[k] - x
-            window.insert(k, x)
-            lo, hi = pop(x - 1, x), pop(x + 1, x)
-            ends[lo], ends[hi] = hi, lo
-            if hi - lo >= run:
-                run = hi - lo + 1
-            append(make(BurstReport, (start, length, run, gap, run <= limit)))
-    return SweepResult(
-        cfg=cfg,
-        lengths=range(b, last + 1),
-        reports=tuple(chain.from_iterable(rows)),
-        worst_runs=tuple(max(r.max_run_length for r in length_rows) for length_rows in rows),
-    )
+    firsts = [window_stats(sorted(dmap[start:start + b])) for start in range(n - b + 1)]
+    runs, gaps = [run for run, _ in firsts], [gap for _, gap in firsts]
+    all_runs, all_gaps = [tuple(runs)], [tuple(gaps)]
+    if b == 1:
+        gaps = [n] * n  # no pair yet: the first pair sets the gap
+    # spans[L][s] for b < L <= last: each run of original bits v, v + 1, ...
+    # grows one bit at a time until its channel positions span over last
+    pos = [0] * n  # the inverse of dmap
+    for j, k in enumerate(dmap):
+        pos[k] = j
+    spans: list[dict[int, int]] = [{} for _ in range(last + 1)]
+    for v in range(n - 1) if last > b else ():
+        lo = hi = pos[v]
+        for w, p in enumerate(pos[v + 1:v + last], 2):
+            lo = p if p < lo else lo
+            hi = p if p > hi else hi
+            if hi - lo >= last:
+                break
+            if hi - lo >= b and spans[hi - lo + 1].get(lo, 0) < w:
+                spans[hi - lo + 1][lo] = w
+    for length in range(b + 1, last + 1):
+        runs = [x if x > y else y for x, y in zip(runs, runs[1:])]
+        for start, run in spans[length].items():
+            runs[start] = max(runs[start], run)
+        gaps = [x if x < y else y for x, y in zip(gaps, gaps[1:])]
+        pairs = map(abs, map(sub, dmap, dmap[length - 1:]))  # |dmap[s] - dmap[s + L - 1]|
+        gaps = [x if x < y else y for x, y in zip(gaps, pairs)]
+        all_runs.append(tuple(runs))
+        all_gaps.append(tuple(gaps))
+    lengths = range(b, last + 1)
+    return SweepResult(cfg, lengths, tuple(all_runs), tuple(all_gaps), tuple(map(max, all_runs)))
 
 
 def summary_lines(result: SweepResult) -> list[str]:
@@ -224,6 +213,16 @@ def summary_lines(result: SweepResult) -> list[str]:
     return lines
 
 
+def _rows(result: SweepResult, template: str, separator: str, flag: tuple) -> Iterator[str]:
+    """The reports of each swept length, from one % over the template
+    repeated: b baked in; start, max_run, min_spacing, flag[correctable]."""
+    for b, runs, gaps in zip(result.lengths, result.runs, result.gaps):
+        row = template % ("%d", b, "%d", "%d", "%s")
+        flags = map(flag.__getitem__, map(RS_MAX_CORRECTABLE_RUN.__ge__, runs))
+        values = chain.from_iterable(zip(range(len(runs)), runs, gaps, flags))
+        yield separator.join([row] * len(runs)) % tuple(values)
+
+
 def csv_chunks(result: SweepResult) -> Iterator[str]:
     """The CSV report: its header, then the rows of one burst length per
     chunk, so that a writer holds one length's rows at a time."""
@@ -232,17 +231,16 @@ def csv_chunks(result: SweepResult) -> Iterator[str]:
         f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
         f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
     )
-    for _, reports, _ in result.per_length():
-        yield "\n".join([_CSV_ROW % r for r in reports]) + "\n"
+    yield from _rows(result, _CSV_ROW, "", (0, 1))
 
 
 def json_chunks(result: SweepResult) -> Iterator[str]:
     """The report as json.dumps(payload, indent=2) + "\\n" would write it,
     with payload = {"config", "rs_criterion_note", "sweeps": [{"b",
     "worst_max_run_length", "reports": [one COLUMNS object per report]}]},
-    one sweep (burst length) per chunk. Only the header goes through
-    json.dumps; indent makes it pure Python, so the sweeps are written from
-    the fixed templates."""
+    one burst length at a time. Only the header goes through json.dumps;
+    indent makes it pure Python, so the sweeps are written from the fixed
+    templates."""
     import json  # only the JSON report needs it
 
     header = json.dumps(
@@ -252,11 +250,11 @@ def json_chunks(result: SweepResult) -> Iterator[str]:
     # header[:-2] drops the closing "\n}" so that "sweeps" joins the object
     yield f'{header[:-2]},\n  "sweeps": [\n'
     separator = ""
-    for b, reports, worst in result.per_length():
-        yield separator + _JSON_SWEEP % (b, worst, ",\n".join([
-            _JSON_REPORT % (start, length, run, gap, _JSON_BOOL[ok])
-            for start, length, run, gap, ok in reports
-        ]))
+    reports = _rows(result, _JSON_REPORT, ",\n", _JSON_BOOL)
+    for b, worst, body in zip(result.lengths, result.worst_runs, reports):
+        yield separator + _JSON_SWEEP % (b, worst)
+        yield body  # apart from the sweep's frame, so that it is not copied
+        yield "\n      ]\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"
 

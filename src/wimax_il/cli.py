@@ -127,6 +127,8 @@ def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
     cfg = _resolve_config(args)
     if (args.b is None) == (args.sweep_max is None):
         raise RangeError("give exactly one of --b and --sweep-max")
+    if args.out and args.json_out and os.path.realpath(args.out) == os.path.realpath(args.json_out):
+        raise RangeError(f"--out and --json-out name the same file, {args.out}")
     if args.b is not None:
         result = burst.burst_sweep(cfg, args.b)
     elif args.sweep_max < 1:

@@ -2,12 +2,15 @@ import json
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wimax_il import (
     RangeError,
     burst,
     burst_sweep,
     deinterleave_index,
+    interleave_index,
     preset,
     validate_config,
 )
@@ -20,6 +23,8 @@ from wimax_il.burst import (
     window_stats,
 )
 from wimax_il.cli import main
+
+from conftest import all_valid_configs
 
 CFG32 = validate_config(32, 16, 1)
 CFG192 = validate_config(192, 16, 1)
@@ -87,6 +92,65 @@ def test_one_call_sweeps_every_length(cfg, max_b):
 )
 def test_one_call_sweeps_a_range_above_1(triple, first, last):
     assert_one_call_matches_brute_force(validate_config(*triple), first, last)
+
+
+@pytest.mark.parametrize(
+    "triple,first,last",
+    [
+        ((288, 12, 2), 1, 64),
+        ((432, 12, 3), 1, 48),
+        ((576, 16, 3), 30, 40),  # crosses rows = 36, where runs first appear
+    ],
+)
+def test_one_call_matches_brute_force_on_s2_s3_blocks(triple, first, last):
+    assert_one_call_matches_brute_force(validate_config(*triple), first, last)
+
+
+@settings(deadline=None, max_examples=25)  # the brute force is slow, not the sweep
+@given(data=st.data())
+def test_one_call_matches_brute_force_on_any_small_block(data):
+    cfg = data.draw(st.sampled_from(all_valid_configs(192)))
+    last = data.draw(st.integers(1, cfg.n_cbps))
+    first = data.draw(st.integers(1, last))
+    assert_one_call_matches_brute_force(cfg, first, last)
+
+
+@pytest.mark.parametrize(
+    "triple,first,last", [((32, 16, 1), 1, 32), ((32, 16, 1), 5, 9), ((576, 16, 3), 1, 40)]
+)
+def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first, last, monkeypatch):
+    """Only the first length is scored from its window, whatever the last;
+    every longer length follows from the one before."""
+    calls = {"window_stats": 0, "deinterleave_index": 0}
+
+    def counted(name):
+        fn = getattr(burst, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(burst, name, counted(name))
+    cfg = validate_config(*triple)
+    result = burst_sweep(cfg, first, last)
+    assert result.lengths == range(first, last + 1)
+    assert calls == {"window_stats": cfg.n_cbps - first + 1, "deinterleave_index": cfg.n_cbps}
+
+
+@pytest.mark.parametrize("cfg", all_valid_configs(1152), ids=lambda cfg: cfg.as_text())
+def test_first_failing_length_law(cfg):
+    """The first burst length that leaves two original-adjacent bits side by
+    side is b* = 1 + min_k |pi(k + 1) - pi(k)|: rows + 1 for s = 1, rows for
+    s = 2 and 3 (the proof sketch is in burst_sweep's docstring)."""
+    pi = [interleave_index(cfg, k) for k in range(cfg.n_cbps)]
+    first_failing = 1 + min(abs(q - p) for p, q in zip(pi, pi[1:]))
+    assert first_failing == (cfg.rows + 1 if cfg.s == 1 else cfg.rows)
+    worst = burst_sweep(cfg, first_failing - 1, first_failing).worst_runs
+    assert worst[0] == 1
+    assert worst[1] >= 2
 
 
 def test_deinterleave_errors_worked_values():

@@ -313,6 +313,26 @@ def test_burst_position_cap_admits_b8_on_the_largest_block(capsys):
     assert f"over {MAX_NCBPS - 7} starts" in capsys.readouterr().out
 
 
+def test_burst_refuses_one_file_for_both_reports(tmp_path, monkeypatch, capsys):
+    """The JSON report would overwrite the CSV one: refused before any work."""
+    def no_work(*args):
+        raise AssertionError("the sweep started before the paths were checked")
+
+    monkeypatch.setattr(burst, "deinterleave_index", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to("r.txt")
+    for csv_name, json_name in [("r.txt", "r.txt"), ("r.txt", "sub/../r.txt"),
+                                ("r.txt", str(tmp_path / "r.txt")), ("link.txt", "r.txt")]:
+        code = main(["burst", "--ncbps", "32", "--s", "1", "--b", "3",
+                     "--out", csv_name, "--json-out", json_name])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out and --json-out name the same file, {csv_name}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "sub"]
+
+
 def test_burst_requires_exactly_one_mode():
     assert main(["burst", "--ncbps", "32", "--d", "16", "--s", "1"]) == 2
     assert main(
