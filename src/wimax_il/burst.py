@@ -9,9 +9,9 @@ before it (see burst_sweep). Runs of consecutive errors longer than
 RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
 
 The report is written here too: summary_lines for stdout, csv_chunks and
-json_chunks for the files, one burst length at a time. COLUMNS names the
-per-start fields once, in BurstReport's field order, for the CSV header,
-its rows and the JSON keys.
+json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
+names the per-start fields once, in BurstReport's field order, for the CSV
+header, its rows and the JSON keys.
 """
 from __future__ import annotations
 
@@ -45,6 +45,10 @@ _JSON_REPORT = "        {\n%s\n        }" % ",\n".join(
 )
 _JSON_BOOL = ("false", "true")
 _JSON_SWEEP = '    {\n      "b": %d,\n      "worst_max_run_length": %d,\n      "reports": [\n'
+# Most reports formatted at once: the writers hold one block's template,
+# values and text, not a whole burst length's. A block of JSON reports is
+# under 1 MB of text; on up to 4096 bits every burst length is one block.
+BLOCK_ROWS = 4096
 
 # Most reports one burst_sweep call may make: a bound on the time and memory
 # one command can ask for. It admits a sweep of burst lengths 1..116 on the
@@ -213,34 +217,42 @@ def summary_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def _rows(result: SweepResult, template: str, separator: str, flag: tuple) -> Iterator[str]:
-    """The reports of each swept length, from one % over the template
-    repeated: b baked in; start, max_run, min_spacing, flag[correctable]."""
-    for b, runs, gaps in zip(result.lengths, result.runs, result.gaps):
-        row = template % ("%d", b, "%d", "%d", "%s")
-        flags = map(flag.__getitem__, map(RS_MAX_CORRECTABLE_RUN.__ge__, runs))
-        values = chain.from_iterable(zip(range(len(runs)), runs, gaps, flags))
-        yield separator.join([row] * len(runs)) % tuple(values)
+def _rows(b: int, runs: tuple, gaps: tuple, template: str, separator: str, flag: tuple) -> Iterator[str]:
+    """The reports of length b in blocks of at most BLOCK_ROWS, each from
+    one % over the template repeated: b baked in; start, max_run,
+    min_spacing, flag[correctable]. Every block but the first begins with
+    the separator, so that the blocks join to the length's rows."""
+    row = template % ("%d", b, "%d", "%d", "%s")
+    for lo in range(0, len(runs), BLOCK_ROWS):
+        block = runs[lo:lo + BLOCK_ROWS]
+        flags = map(flag.__getitem__, map(RS_MAX_CORRECTABLE_RUN.__ge__, block))
+        values = chain.from_iterable(
+            zip(range(lo, lo + len(block)), block, gaps[lo:lo + BLOCK_ROWS], flags)
+        )
+        rows = separator.join([row] * len(block))
+        yield (separator + rows if lo else rows) % tuple(values)
 
 
 def csv_chunks(result: SweepResult) -> Iterator[str]:
-    """The CSV report: its header, then the rows of one burst length per
-    chunk, so that a writer holds one length's rows at a time."""
+    """The CSV report: its header, then the rows of each burst length in
+    blocks of at most BLOCK_ROWS, so that a writer holds one block at a
+    time."""
     cfg = result.cfg
     yield (
         f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
         f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
     )
-    yield from _rows(result, _CSV_ROW, "", (0, 1))
+    for b, runs, gaps in zip(result.lengths, result.runs, result.gaps):
+        yield from _rows(b, runs, gaps, _CSV_ROW, "", (0, 1))
 
 
 def json_chunks(result: SweepResult) -> Iterator[str]:
     """The report as json.dumps(payload, indent=2) + "\\n" would write it,
     with payload = {"config", "rs_criterion_note", "sweeps": [{"b",
     "worst_max_run_length", "reports": [one COLUMNS object per report]}]},
-    one burst length at a time. Only the header goes through json.dumps;
-    indent makes it pure Python, so the sweeps are written from the fixed
-    templates."""
+    at most BLOCK_ROWS reports at a time. Only the header goes through
+    json.dumps; indent makes it pure Python, so the sweeps are written from
+    the fixed templates."""
     import json  # only the JSON report needs it
 
     header = json.dumps(
@@ -250,10 +262,11 @@ def json_chunks(result: SweepResult) -> Iterator[str]:
     # header[:-2] drops the closing "\n}" so that "sweeps" joins the object
     yield f'{header[:-2]},\n  "sweeps": [\n'
     separator = ""
-    reports = _rows(result, _JSON_REPORT, ",\n", _JSON_BOOL)
-    for b, worst, body in zip(result.lengths, result.worst_runs, reports):
+    columns = zip(result.lengths, result.worst_runs, result.runs, result.gaps)
+    for b, worst, runs, gaps in columns:
         yield separator + _JSON_SWEEP % (b, worst)
-        yield body  # apart from the sweep's frame, so that it is not copied
+        # apart from the sweep's frame, so that no block is copied
+        yield from _rows(b, runs, gaps, _JSON_REPORT, ",\n", _JSON_BOOL)
         yield "\n      ]\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"

@@ -13,7 +13,9 @@ Deinterleave (receive side), for j in [0, n_cbps):
 The first step spreads adjacent coded bits onto non-adjacent subcarriers;
 the second alternates them across constellation bit significances. All
 arithmetic is exact integer arithmetic; this module is the oracle the
-incremental generator is checked against.
+incremental generator is checked against. build_table writes whole tables
+as column transposes rotated inside groups of s, pinned to the per-index
+functions on every valid config.
 """
 from __future__ import annotations
 
@@ -91,13 +93,33 @@ class AddressTable(_Table):
 
 
 def build_table(cfg: InterleaverConfig, direction: Direction) -> AddressTable:
-    """Tabulate interleave_index or deinterleave_index over the whole block."""
-    fn = (
-        interleave_index
-        if direction is Direction.INTERLEAVE
-        else deinterleave_index
-    )
-    return AddressTable(cfg, direction, tuple(fn(cfg, i) for i in range(cfg.n_cbps)))
+    """The whole block of interleave_index or deinterleave_index, built by
+    O(d*s) slice assignments rather than one call per index.
+
+    Write bit k as k = r*d + c, with row r < rows = n_cbps/d and column
+    c < d. Step 1 sends it to m = rows*c + r, so floor(d*m/n_cbps) = c.
+    Since s divides rows, s*floor(m/s) = rows*c + s*floor(r/s) and
+    (m + n_cbps - c) mod s = (r - c) mod s, so step 2 gives
+
+        j = rows*c + s*floor(r/s) + (r - c) mod s.
+
+    Column c is a transpose onto channel positions rows*c .. rows*(c+1) - 1,
+    rotated by c inside every group of s. The rows r = t (mod s) of column c,
+    that is k = c + d*t + s*d*g, land on j = rows*c + (t - c) mod s + s*g:
+    one stepped slice each way. The per-index functions stay the oracle; the
+    tests pin this table to them on every valid config.
+    """
+    n, d, s = cfg.n_cbps, cfg.d, cfg.s
+    rows = n // d
+    out = [0] * n
+    for c in range(d):
+        for t in range(s):
+            u = (t - c) % s
+            if direction is Direction.INTERLEAVE:
+                out[c + d * t::s * d] = range(rows * c + u, rows * (c + 1), s)
+            else:
+                out[rows * c + u:rows * (c + 1):s] = range(c + d * t, n, s * d)
+    return AddressTable(cfg, direction, tuple(out))
 
 
 def invert_table(table: AddressTable) -> AddressTable:

@@ -31,14 +31,17 @@ MAX_TABLE_CHARS = 764_288
 
 
 def serialize_table(table: AddressTable) -> str:
+    """The canonical text: the header, then every row from one % over the
+    row template repeated. %s writes what an f-string writes, str(value)."""
     cfg = table.cfg
-    lines = [
-        FORMAT_LINE,
-        f"# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}",
-        f"# direction={table.direction.value}",
-    ]
-    lines += [f"{i},{a}" for i, a in enumerate(table.map)]
-    return "\n".join(lines) + "\n"
+    n = len(table.map)
+    flat = [0] * (2 * n)
+    flat[::2] = range(n)
+    flat[1::2] = table.map
+    return (
+        f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
+        f"# direction={table.direction.value}\n"
+    ) + "%s,%s\n" * n % tuple(flat)
 
 
 def parse_table(text: str) -> AddressTable:
@@ -76,7 +79,7 @@ def parse_table(text: str) -> AddressTable:
             f"expected {cfg.n_cbps} rows, found {len(rows)}"
         )
     try:
-        addresses = tuple(int(row.partition(",")[2]) for row in rows)
+        addresses = tuple(map(int, [row.partition(",")[2] for row in rows]))
     except ValueError as exc:
         raise TableFormatError(f"bad row address: {exc}") from exc
     table = AddressTable(cfg, direction, addresses)

@@ -1,4 +1,5 @@
 import json
+import textwrap
 from functools import cache
 
 import pytest
@@ -264,8 +265,9 @@ def test_reports_carry_rs_flag():
         (preset("qam16"), 10),
         (preset("qam64"), 10),
         (validate_config(768, 12, 2), 10),
+        (validate_config(9216, 12, 1), 2),  # lengths of several blocks
     ],
-    ids=["32_16_1", "qpsk", "qam16", "qam64", "768_12_2"],
+    ids=["32_16_1", "qpsk", "qam16", "qam64", "768_12_2", "9216_12_1"],
 )
 def test_render_json_is_json_dumps_of_the_payload(cfg, max_b, tmp_path):
     """The templates write the bytes json.dumps(indent=2) writes for the
@@ -306,3 +308,24 @@ def test_render_json_is_json_dumps_of_the_payload(cfg, max_b, tmp_path):
         flat = [r for sweep in sweeps for r in sweep["reports"]]
         assert any(r["min_spacing"] == 0 for r in flat)
         assert any(not r["rs_correctable"] for r in flat)
+
+
+def test_report_writers_hold_one_block_of_rows_at_a_time():
+    """A burst length with more starts than BLOCK_ROWS is written in blocks
+    of at most BLOCK_ROWS reports, none longer than that many of the longest
+    row (the bytes are pinned by the json.dumps test above); a length that
+    fits in one block is one chunk."""
+    result = burst_sweep(validate_config(9216, 12, 1), 3)  # 9214 starts
+    reports = [dict(zip(COLUMNS, r)) for r in result.reports]
+    chunks = list(burst.json_chunks(result))
+    assert sum('"start"' in chunk for chunk in chunks) == 3
+    longest = max(len(textwrap.indent(json.dumps(r, indent=2), " " * 8)) for r in reports)
+    assert max(map(len, chunks)) <= burst.BLOCK_ROWS * (longest + len(",\n"))
+
+    header, *blocks = burst.csv_chunks(result)
+    assert len(blocks) == 3
+    longest = max(len(",".join(str(int(v)) for v in r.values()) + "\n") for r in reports)
+    assert max(map(len, blocks)) <= burst.BLOCK_ROWS * longest
+
+    sweep = burst_sweep(validate_config(768, 16, 2), 1, 3)
+    assert len(list(burst.csv_chunks(sweep))) == 1 + 3

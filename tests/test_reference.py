@@ -16,6 +16,7 @@ from wimax_il import (
     deinterleave_index,
     interleave_index,
     invert_table,
+    reference,
     validate_config,
 )
 
@@ -62,6 +63,27 @@ def test_index_out_of_range(bad):
 def test_table_prefixes():
     assert build_table(CFG32, Direction.DEINTERLEAVE).map[:4] == (0, 16, 1, 17)
     assert build_table(CFG32, Direction.INTERLEAVE).map[:3] == (0, 2, 4)
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+def test_build_table_is_the_index_functions_tabulated(direction):
+    """The sliced tables equal the per-index oracle on every valid config
+    with n_cbps <= 2048."""
+    fn = interleave_index if direction is Direction.INTERLEAVE else deinterleave_index
+    for cfg in all_valid_configs():
+        want = tuple(fn(cfg, i) for i in range(cfg.n_cbps))
+        assert build_table(cfg, direction).map == want, cfg
+
+
+def test_build_table_calls_no_index_function(monkeypatch):
+    """Whole tables come from slices, not from one call per index."""
+    calls = []
+    for name in ("interleave_index", "deinterleave_index"):
+        monkeypatch.setattr(reference, name, lambda *args, name=name: calls.append(name))
+    for cfg in ACCEPTANCE_CONFIGS:
+        for direction in Direction:
+            assert build_table(cfg, direction).is_permutation()
+    assert calls == []
 
 
 def test_bijectivity_and_mutual_inverse_exhaustive():

@@ -51,15 +51,20 @@ def test_engines_serialize_identically():
         ("deinterleave_192_16_1.csv", (192, 16, 1)),
         ("deinterleave_384_16_2.csv", (384, 16, 2)),
         ("deinterleave_576_16_3.csv", (576, 16, 3)),
+        ("interleave_192_16_1.csv", (192, 16, 1)),
+        ("interleave_384_16_2.csv", (384, 16, 2)),
+        ("interleave_576_16_3.csv", (576, 16, 3)),
     ],
 )
 def test_golden_vectors_are_locked(name, triple):
     """Committed tables must match the current build byte for byte."""
     golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     cfg = validate_config(*triple)
-    assert serialize_table(build_table(cfg, Direction.DEINTERLEAVE)) == golden
+    direction = Direction(name.partition("_")[0])
+    assert serialize_table(build_table(cfg, direction)) == golden
     parsed = parse_table(golden)
     assert parsed.cfg == cfg
+    assert parsed.direction is direction
     assert parsed.is_permutation()
 
 
@@ -69,30 +74,87 @@ def test_round_trip_arbitrary_permutations(perm):
     assert parse_table(serialize_table(table)) == table
 
 
+@given(values=st.lists(st.integers() | st.booleans(), min_size=32, max_size=32))
+def test_serialize_writes_what_fstring_rows_write(values):
+    """The bulk row template formats any map as one f-string row per entry."""
+    table = AddressTable(CFG32, Direction.DEINTERLEAVE, tuple(values))
+    rows = "".join(f"{i},{a}\n" for i, a in enumerate(values))
+    assert serialize_table(table).split("\n", 3)[3] == rows
+
+
+def rejected(message, mutation):
+    """Tag a text mutation with the exact TableFormatError message it gets."""
+    mutation.message = message
+    return mutation
+
+
 @pytest.mark.parametrize(
     "mutation",
     [
-        lambda t: "garbage\n" + t,
-        lambda t: t.replace("v1", "v2"),
-        lambda t: t.replace("ncbps=32", "ncbps=33"),
-        lambda t: t.replace("direction=deinterleave", "direction=sideways"),
-        lambda t: t.rsplit("\n", 2)[0] + "\n",  # drop the last row
-        lambda t: t.replace("\n3,17\n", "\n3,x\n"),
-        lambda t: t.replace("\n3,17\n", "\n4,17\n"),  # index out of order
-        lambda t: "",
-        lambda t: t.replace("\n3,17\n", "\n3,1_7\n"),  # underscore digit
-        lambda t: t.replace("\n3,17\n", "\n3,+17\n"),  # + sign
-        lambda t: t.replace("s=1\n", "s=1 extra=1\n"),  # extra header field
-        lambda t: t.replace("ncbps=32", "ncbps=032"),  # leading zero in header
-        lambda t: t.replace("\n", "\r\n"),  # CRLF line endings
-        lambda t: t[:-1],  # missing final newline
-        lambda t: t.replace("\n3,17\n", "\n3, 17\n"),  # space-padded value
+        rejected("unknown format line 'garbage'", lambda t: "garbage\n" + t),
+        rejected(
+            "unknown format line '# wimax-il address table v2'",
+            lambda t: t.replace("v1", "v2"),
+        ),
+        rejected(
+            "bad config header '# ncbps=33 d=16 s=1'",
+            lambda t: t.replace("ncbps=32", "ncbps=33"),
+        ),
+        rejected(
+            "unknown direction 'sideways'",
+            lambda t: t.replace("direction=deinterleave", "direction=sideways"),
+        ),
+        rejected(  # drop the last row
+            "expected 32 rows, found 31", lambda t: t.rsplit("\n", 2)[0] + "\n"
+        ),
+        rejected(
+            "bad row address: invalid literal for int() with base 10: 'x'",
+            lambda t: t.replace("\n3,17\n", "\n3,x\n"),
+        ),
+        rejected(  # index out of order
+            r"line 7 is not canonical: '4,17\n', expected '3,17\n'",
+            lambda t: t.replace("\n3,17\n", "\n4,17\n"),
+        ),
+        rejected("file too short to be an address table", lambda t: ""),
+        rejected(  # underscore digit
+            r"line 7 is not canonical: '3,1_7\n', expected '3,17\n'",
+            lambda t: t.replace("\n3,17\n", "\n3,1_7\n"),
+        ),
+        rejected(  # + sign
+            r"line 7 is not canonical: '3,+17\n', expected '3,17\n'",
+            lambda t: t.replace("\n3,17\n", "\n3,+17\n"),
+        ),
+        rejected(  # extra header field
+            r"line 2 is not canonical: '# ncbps=32 d=16 s=1 extra=1\n', "
+            r"expected '# ncbps=32 d=16 s=1\n'",
+            lambda t: t.replace("s=1\n", "s=1 extra=1\n"),
+        ),
+        rejected(  # leading zero in header
+            r"line 2 is not canonical: '# ncbps=032 d=16 s=1\n', "
+            r"expected '# ncbps=32 d=16 s=1\n'",
+            lambda t: t.replace("ncbps=32", "ncbps=032"),
+        ),
+        rejected(  # CRLF line endings
+            r"line 1 is not canonical: '# wimax-il address table v1\r\n', "
+            r"expected '# wimax-il address table v1\n'",
+            lambda t: t.replace("\n", "\r\n"),
+        ),
+        rejected(  # missing final newline
+            r"line 35 is not canonical: '31,31', expected '31,31\n'",
+            lambda t: t[:-1],
+        ),
+        rejected(  # space-padded value
+            r"line 7 is not canonical: '3, 17\n', expected '3,17\n'",
+            lambda t: t.replace("\n3,17\n", "\n3, 17\n"),
+        ),
     ],
 )
 def test_parse_rejects_malformed(mutation):
+    """Each deviation fails with its own message, which verify --table prints."""
     text = serialize_table(build_table(CFG32, Direction.DEINTERLEAVE))
-    with pytest.raises(TableFormatError):
+    with pytest.raises(TableFormatError) as excinfo:
         parse_table(mutation(text))
+    assert str(excinfo.value) == mutation.message
 
 
 @given(data=st.data())
