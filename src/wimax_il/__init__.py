@@ -10,7 +10,7 @@ so that importing one submodule, such as the CLI, loads no other.
 import importlib
 
 _EXPORTS = {
-    "burst": ("BurstReport", "SweepResult", "burst_sweep"),
+    "burst": ("SweepResult", "burst_sweep"),
     "config": (
         "PAPER_REFERENCE",
         "PRESETS",

@@ -10,8 +10,8 @@ RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
 
 The report is written here too: summary_lines for stdout, csv_chunks and
 json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
-names the per-start fields once, in BurstReport's field order, for the CSV
-header, its rows and the JSON keys.
+names the per-start fields once, in order, for the CSV header, its rows
+and the JSON keys.
 """
 from __future__ import annotations
 
@@ -82,16 +82,6 @@ def window_stats(ordered: list[int]) -> tuple[int, int]:
     return best, gap
 
 
-class BurstReport(NamedTuple):
-    """One burst start; the fields are in COLUMNS order."""
-
-    start_position: int
-    burst_length: int
-    max_run_length: int
-    min_pairwise_spacing: int
-    rs_correctable: bool
-
-
 class SweepResult(NamedTuple):
     """Every report of one burst_sweep call as columns: per swept length b,
     max_run_length and min_pairwise_spacing by start, and the worst run."""
@@ -108,15 +98,14 @@ class SweepResult(NamedTuple):
         return max(self.worst_runs)
 
     @property
-    def reports(self) -> tuple[BurstReport, ...]:
-        """Every report, in CSV row order (by burst length, then start)."""
-        return tuple(chain.from_iterable(rows for _, rows, _ in self.per_length()))
-
-    def per_length(self) -> Iterator[tuple[int, tuple[BurstReport, ...], int]]:
-        """(b, the reports of length b, their worst run) for each swept b."""
-        for b, runs, gaps, worst in zip(self.lengths, self.runs, self.gaps, self.worst_runs):
-            flags = map(RS_MAX_CORRECTABLE_RUN.__ge__, runs)
-            yield b, tuple(map(BurstReport, range(len(runs)), repeat(b), runs, gaps, flags)), worst
+    def reports(self) -> tuple[tuple[int, int, int, int, bool], ...]:
+        """Every report as a COLUMNS-ordered tuple, in CSV row order (by
+        burst length, then start). Only the benchmark's tracer counts them;
+        this goes once it counts sum(map(len, runs)) (ROADMAP item 4)."""
+        return tuple(chain.from_iterable(
+            zip(range(len(runs)), repeat(b), runs, gaps, map(RS_MAX_CORRECTABLE_RUN.__ge__, runs))
+            for b, runs, gaps in zip(self.lengths, self.runs, self.gaps)
+        ))
 
 
 def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> SweepResult:
@@ -135,6 +124,19 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
     than rows = n_cbps/d lands on isolated bits. For s = 2, 3 the offset in
     the s-group also turns back by one, so k, k + 1 are rows - 1 apart, or
     rows + s - 1 where it wraps, and a row wrap is farther: b* = rows.
+
+    Burst limit: a burst holds the original bits k .. k + R exactly when it
+    is longer than hi - lo, the distance between their farthest channel
+    positions. So the longest burst that leaves no run longer than R is
+    b_max(R) = min_k (hi - lo) = R*rows - (R mod s) for 1 <= R <= d - 2.
+    In row a, since s | rows, bit c + i lands on
+    rows*(c + i) + s*(a // s) + (a - c - i) % s: the offset e in the s-group
+    turns back by one per bit, so a run in one row spans
+    R*rows + (e - R) % s - e, least, R*rows - (R mod s), for e >= R mod s.
+    A run across a row wrap holds column d - 1 of row a and column 0 of
+    row a + 1, at least rows*(d - 1) - s apart, which is no less while
+    R <= d - 2. R = 1 gives b* - 1 above; R = RS_MAX_CORRECTABLE_RUN = 8
+    gives 8*rows, or 8*rows - 2 for s = 3.
 
     One call sweeps every length. window_stats scores each start's first
     length b from its sorted window; each longer length L follows from
@@ -270,8 +272,3 @@ def json_chunks(result: SweepResult) -> Iterator[str]:
         yield "\n      ]\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"
-
-
-def render_json(result: SweepResult) -> str:
-    """The whole JSON report as one string."""
-    return "".join(json_chunks(result))

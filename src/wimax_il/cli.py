@@ -14,7 +14,9 @@ import sys
 from collections.abc import Iterable
 from functools import cache
 
-from .config import DEFAULT_UNIT_DELAY_NS, PRESETS, InterleaverConfig, preset, validate_config
+from .config import (
+    DEFAULT_D, DEFAULT_UNIT_DELAY_NS, PRESETS, InterleaverConfig, preset, validate_config,
+)
 from .errors import InterleaverError, RangeError, TableFormatError
 from .reference import Direction, build_table, invert_table
 from .tablefile import read_table, serialize_table
@@ -41,7 +43,7 @@ def _resolve_config(args: argparse.Namespace) -> InterleaverConfig:
         return preset(args.preset)
     if args.ncbps is None or args.s is None:
         raise RangeError("need --ncbps and --s (or --preset)")
-    return validate_config(args.ncbps, args.d if args.d is not None else 16, args.s)
+    return validate_config(args.ncbps, args.d if args.d is not None else DEFAULT_D, args.s)
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
@@ -170,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--ncbps", type=int, help="coded bits per OFDM symbol")
-        p.add_argument("--d", type=int, default=None, help="column count (12 or 16; default 16)")
+        p.add_argument("--d", type=int, default=None, help=f"column count (12 or 16; default {DEFAULT_D})")
         p.add_argument("--s", type=int, help="significance parameter (1, 2, or 3)")
         p.add_argument(
             "--preset",

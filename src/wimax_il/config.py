@@ -148,8 +148,5 @@ class PaperReference(NamedTuple):
     fpga_speed_grade: str = "-5"
     toolchain: str = "Xilinx ISE"
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 PAPER_REFERENCE = PaperReference()

@@ -31,12 +31,6 @@ from typing import NamedTuple
 from .config import DEFAULT_UNIT_DELAY_NS, PAPER_REFERENCE, InterleaverConfig, PaperReference
 from .errors import CyclicGraph, RangeError
 
-# LUT-equivalent weights per bit of datapath width; declared arbitrary.
-# Add/subtract units and comparators cost one LUT per bit, a 2:1 mux half,
-# registers and constants nothing. Width is ceil(log2(n_cbps * d)), wide
-# enough for every intermediate value.
-LUT_PER_BIT = {"adder": 1.0, "subtractor": 1.0, "comparator": 1.0, "mux": 0.5}
-
 # Accepted unit delays. At the least, on the speed variant's depth-3 chain,
 # the fmax proxy is 333333.33 MHz, which still fits the text report's columns.
 MIN_UNIT_DELAY_NS = 0.001
@@ -62,11 +56,13 @@ class NodeKind(str, enum.Enum):
     CONSTANT = "constant"
 
 
-_COMBINATIONAL = {
-    NodeKind.ADDER,
-    NodeKind.SUBTRACTOR,
-    NodeKind.COMPARATOR,
-    NodeKind.MUX,
+# LUT-equivalent weights per bit of datapath width; declared arbitrary.
+# Add/subtract units and comparators cost one LUT per bit, a 2:1 mux half.
+# The keys are the combinational kinds; registers and constants cost
+# nothing. Width is ceil(log2(n_cbps * d)), wide enough for every
+# intermediate value.
+LUT_PER_BIT = {
+    NodeKind.ADDER: 1.0, NodeKind.SUBTRACTOR: 1.0, NodeKind.COMPARATOR: 1.0, NodeKind.MUX: 0.5,
 }
 
 
@@ -78,9 +74,11 @@ class Variant(str, enum.Enum):
 class DatapathGraph:
     """Directed primitive-level structure: nodes plus data-dependency edges.
 
-    Register inputs name the combinational node producing their next
-    value; cycles are legal only through registers. Inputs may name nodes
-    added later: validate() checks them once the graph is complete.
+    A register's inputs are the node producing its next value and,
+    optionally, its enable: with one, it loads only in cycles where the
+    enable is set. Cycles are legal only through registers. Inputs may
+    name nodes added later: validate() checks them once the graph is
+    complete.
     """
 
     def __init__(self, variant: str, width_bits: int) -> None:
@@ -114,7 +112,7 @@ class DatapathGraph:
             for src in inputs:
                 if src not in self.nodes:
                     raise RangeError(f"node {name!r} reads undefined {src!r}")
-            if self.nodes[name] not in _COMBINATIONAL:
+            if self.nodes[name] not in LUT_PER_BIT:
                 depths[name] = 0  # a chain starts here; its inputs are not followed
             elif not inputs:
                 raise RangeError(f"combinational node {name!r} has no inputs")
@@ -139,34 +137,33 @@ class CostReport(NamedTuple):
     critical_path_depth: int
     fmax_proxy_mhz: float
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 def width_bits(cfg: InterleaverConfig) -> int:
     """ceil(log2(n_cbps * d)): enough bits for every accumulator value."""
     return (cfg.n_cbps * cfg.d - 1).bit_length()
 
 
-def _common_counters(g: DatapathGraph) -> None:
+def _common_counters(g: DatapathGraph, wrap: str) -> None:
     """Constants, the narrow dedicated counters shared by both variants
     (q-mod-s trackers and the j-mod-s counter), and the dv/dv_lo
-    correction select. Each register names its next-value source."""
+    correction select. Each register names its next-value source; the
+    q-mod-s trackers are enabled by wrap, the variant's r-wrap comparator,
+    so that they advance only when q does."""
     for const in ("const_d", "const_one", "const_s", "const_neg_sd", "const_n", "const_zero"):
         g.add(const, NodeKind.CONSTANT)
 
-    # v = q mod s and its derived correction registers, reset on wrap
-    g.add("v", NodeKind.REGISTER, "mux_v")
+    # v = q mod s and its derived correction registers, reset when v wraps
+    g.add("v", NodeKind.REGISTER, "mux_v", wrap)
     g.add("add_v", NodeKind.ADDER, "v", "const_one")
     g.add("cmp_v", NodeKind.COMPARATOR, "add_v", "const_s")
     g.add("mux_v", NodeKind.MUX, "add_v", "const_zero", "cmp_v")
-    g.add("dv", NodeKind.REGISTER, "mux_dv")
+    g.add("dv", NodeKind.REGISTER, "mux_dv", wrap)
     g.add("add_dv", NodeKind.ADDER, "dv", "const_d")
     g.add("mux_dv", NodeKind.MUX, "add_dv", "const_zero", "cmp_v")
-    g.add("dv_lo", NodeKind.REGISTER, "mux_dvlo")
+    g.add("dv_lo", NodeKind.REGISTER, "mux_dvlo", wrap)
     g.add("add_dvlo", NodeKind.ADDER, "dv_lo", "const_d")
     g.add("mux_dvlo", NodeKind.MUX, "add_dvlo", "const_neg_sd", "cmp_v")
-    g.add("tv", NodeKind.REGISTER, "mux_tv")
+    g.add("tv", NodeKind.REGISTER, "mux_tv", wrap)
     g.add("sub_tv", NodeKind.SUBTRACTOR, "tv", "const_one")
     g.add("mux_tv", NodeKind.MUX, "sub_tv", "const_s", "cmp_v")
 
@@ -189,9 +186,9 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
     """
     variant = Variant(variant)
     g = DatapathGraph(variant=variant.value, width_bits=width_bits(cfg))
-    _common_counters(g)
 
     if variant is Variant.SPEED:
+        _common_counters(g, "cmp_r")
         # dedicated wide units; pipeline register after the corrected residue
         g.add("r", NodeKind.REGISTER, "mux_r")
         g.add("q", NodeKind.REGISTER, "mux_q")
@@ -207,6 +204,7 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("add_q", NodeKind.ADDER, "q", "const_one")
         g.add("mux_q", NodeKind.MUX, "q", "add_q", "cmp_r")
     else:
+        _common_counters(g, "cmp_shared")
         # one shared ALU behind operand mux trees; round-robin over the
         # r-update, the u computation, and the output address
         g.add("r", NodeKind.REGISTER, "mux_wr")
@@ -242,9 +240,9 @@ def estimate_cost(
     depths = g.validate()
     counts = Counter(g.nodes.values())
     lut = sum(
-        LUT_PER_BIT[kind.value] * g.width_bits
+        LUT_PER_BIT[kind] * g.width_bits
         for kind in g.nodes.values()
-        if kind in _COMBINATIONAL
+        if kind in LUT_PER_BIT
     )
     depth = max(depths.values(), default=0)
     fmax = 1000.0 / (depth * unit_delay_ns) if depth else float("inf")
@@ -284,13 +282,13 @@ class TradeoffReport(NamedTuple):
                     "not synthesis results"
                 ),
                 "unit_delay_ns": self.unit_delay_ns,
-                "area": self.area.as_dict(),
-                "speed": self.speed.as_dict(),
+                "area": self.area._asdict(),
+                "speed": self.speed._asdict(),
                 "deltas": self.deltas,
             },
             "paper_reference": {
                 "note": "published synthesis results, carried verbatim",
-                **self.paper.as_dict(),
+                **self.paper._asdict(),
             },
             "comparison_check": [
                 {"name": name, "recomputed": got, "printed": want, "pass": ok}

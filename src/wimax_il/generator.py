@@ -34,41 +34,32 @@ to those counts.
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from .config import InterleaverConfig
 from .reference import AddressTable, Direction
 
 
-class OpCensus:
+class OpCensus(SimpleNamespace):
     """Operation counts accumulated over generator steps.
 
     add/sub/compare/select cover the address-computation datapath,
     including the step counter increment. div, mul, and generic_floor are
     present so their absence is visible: the counter loop has none.
+    Equality compares, and the repr lists, the seven counts in this order.
     """
-
-    __slots__ = ("add", "sub", "compare", "select", "div", "mul", "generic_floor")
 
     def __init__(
         self, add: int = 0, sub: int = 0, compare: int = 0, select: int = 0,
         div: int = 0, mul: int = 0, generic_floor: int = 0,
     ) -> None:
-        self.add, self.sub, self.compare, self.select = add, sub, compare, select
-        self.div, self.mul, self.generic_floor = div, mul, generic_floor
-
-    def _counts(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        super().__init__(
+            add=add, sub=sub, compare=compare, select=select,
+            div=div, mul=mul, generic_floor=generic_floor,
+        )
 
     def total(self) -> int:
-        return sum(self._counts())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpCensus):
-            return NotImplemented
-        return self._counts() == other._counts()
-
-    def __repr__(self) -> str:
-        counts = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
-        return f"OpCensus({counts})"
+        return sum(vars(self).values())
 
 
 def _add_block_census(census: OpCensus, n: int, d: int, s: int) -> None:

@@ -20,7 +20,6 @@ from wimax_il.burst import (
     FORMAT_LINE,
     RS_CRITERION_NOTE,
     RS_MAX_CORRECTABLE_RUN,
-    render_json,
     window_stats,
 )
 from wimax_il.cli import main
@@ -75,8 +74,9 @@ def assert_one_call_matches_brute_force(cfg, first, last):
     assert result.lengths == range(first, last + 1)
     want = [brute_force_rows(cfg, b) for b in result.lengths]
     assert list(result.reports) == [row for rows in want for row in rows]
-    for (b, reports, worst), rows in zip(result.per_length(), want, strict=True):
-        assert list(reports) == rows, (cfg, b)
+    columns = zip(result.lengths, result.runs, result.gaps, result.worst_runs, strict=True)
+    for (b, runs, gaps, worst), rows in zip(columns, want, strict=True):
+        assert [(row[2], row[3]) for row in rows] == list(zip(runs, gaps)), (cfg, b)
         assert worst == max(row[2] for row in rows), (cfg, b)
     assert result.worst_max_run_length == max(result.worst_runs)
 
@@ -154,17 +154,43 @@ def test_first_failing_length_law(cfg):
     assert worst[1] >= 2
 
 
+@pytest.mark.parametrize("cfg", all_valid_configs(1152), ids=lambda cfg: cfg.as_text())
+def test_burst_limit_law(cfg):
+    """For 1 <= R <= d - 2 the longest burst that leaves no run longer than R
+    is b_max(R) = R*rows - (R mod s): one less than the shortest burst that
+    holds R + 1 consecutive original bits (the proof sketch is in
+    burst_sweep's docstring)."""
+    pi = [interleave_index(cfg, k) for k in range(cfg.n_cbps)]
+    last = cfg.d - 2
+    shortest = [cfg.n_cbps + 1] * (last + 1)  # by R, over every run k .. k + R
+    for k in range(cfg.n_cbps - 1):
+        lo = hi = pi[k]
+        for r, p in enumerate(pi[k + 1:k + last + 1], 1):
+            lo, hi = min(lo, p), max(hi, p)
+            shortest[r] = min(shortest[r], hi - lo + 1)
+    for r in range(1, last + 1):
+        assert shortest[r] - 1 == r * cfg.rows - r % cfg.s, r
+
+
+@pytest.mark.parametrize("name,b_max", [("qpsk", 96), ("qam16", 192), ("qam64", 286)])
+def test_burst_limit_at_the_rs_run_limit(name, b_max):
+    """At R = 8 the worst run is 8 at b_max(8) and 9 one bit longer."""
+    cfg = preset(name)
+    assert b_max == 8 * cfg.rows - 8 % cfg.s
+    assert burst_sweep(cfg, b_max, b_max + 1).worst_runs == (8, 9)
+
+
 def test_deinterleave_errors_worked_values():
     # (32,16,1): channel errors at 0, 1, 2 land on original bits 0, 16, 1
-    pair = burst_sweep(CFG32, 2).reports[0]
-    assert (pair.max_run_length, pair.min_pairwise_spacing) == (1, 16)
-    assert burst_sweep(CFG32, 3).reports[0].max_run_length == 2
+    sweep = burst_sweep(CFG32, 2)
+    assert (sweep.runs[0][0], sweep.gaps[0][0]) == (1, 16)
+    assert burst_sweep(CFG32, 3).runs[0][0] == 2
 
 
 def test_cardinality_is_preserved():
     # distinct channel bits land on distinct original bits: every gap >= 1
     for b in (2, 5, 17, 32):
-        assert all(r.min_pairwise_spacing >= 1 for r in burst_sweep(CFG32, b).reports)
+        assert min(burst_sweep(CFG32, b).gaps[0]) >= 1
 
 
 @pytest.mark.parametrize(
@@ -251,10 +277,10 @@ def test_rs_correctable_thresholds():
 
 def test_reports_carry_rs_flag():
     sweep = burst_sweep(CFG192, 12)
-    assert all(r.rs_correctable for r in sweep.reports)
-    assert all(r.max_run_length == 1 for r in sweep.reports)
+    assert all(r[4] for r in sweep.reports)
+    assert set(sweep.runs[0]) == {1}
     # scattered errors sit about one column stride apart
-    assert all(r.min_pairwise_spacing >= CFG192.d - 1 for r in sweep.reports)
+    assert min(sweep.gaps[0]) >= CFG192.d - 1
 
 
 @pytest.mark.parametrize(
@@ -279,7 +305,7 @@ def test_render_json_is_json_dumps_of_the_payload(cfg, max_b, tmp_path):
         reports = burst_sweep(cfg, b).reports
         sweeps.append({
             "b": b,
-            "worst_max_run_length": max(r.max_run_length for r in reports),
+            "worst_max_run_length": max(r[2] for r in reports),
             "reports": [dict(zip(COLUMNS, r)) for r in reports],
         })
     payload = {
@@ -287,7 +313,7 @@ def test_render_json_is_json_dumps_of_the_payload(cfg, max_b, tmp_path):
         "rs_criterion_note": RS_CRITERION_NOTE,
         "sweeps": sweeps,
     }
-    text = render_json(burst_sweep(cfg, 1, max_b))
+    text = "".join(burst.json_chunks(burst_sweep(cfg, 1, max_b)))
     assert text == json.dumps(payload, indent=2) + "\n"
 
     csv_path, json_path = tmp_path / "burst.csv", tmp_path / "burst.json"

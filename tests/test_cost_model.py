@@ -89,6 +89,26 @@ def test_every_node_feeds_addr_out():
             assert set(g.nodes) - live == set(), (cfg, variant)
 
 
+def test_q_mod_s_trackers_advance_only_on_r_wrap():
+    """v, dv, dv_lo and tv load only when r wraps: each reads, as its enable,
+    the comparator that selects mux_q. The counts are those of the graph
+    before the enables, which add edges and no nodes."""
+    for variant, wrap, want in [
+        (Variant.AREA, "cmp_shared", (8, 7, 4, 12, 7)),
+        (Variant.SPEED, "cmp_r", (9, 10, 4, 8, 3)),
+    ]:
+        g = build_datapath(CFG192, variant)
+        assert g.preds["mux_q"][-1] == wrap
+        assert g.nodes[wrap] is NodeKind.COMPARATOR
+        for reg in ("v", "dv", "dv_lo", "tv"):
+            assert g.nodes[reg] is NodeKind.REGISTER
+            assert g.preds[reg][1:] == (wrap,), (variant, reg)
+        report = estimate_cost(g)
+        got = (report.register_count, report.adder_count, report.comparator_count,
+               report.mux_count, report.critical_path_depth)
+        assert got == want, variant
+
+
 def test_node_count_is_config_independent():
     small = build_datapath(validate_config(32, 16, 1), Variant.SPEED)
     large = build_datapath(validate_config(1152, 16, 3), Variant.SPEED)

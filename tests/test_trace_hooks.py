@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import wimax_il.cli
-from wimax_il import reference, validate_config
+from wimax_il import burst_sweep, reference, validate_config
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -61,3 +61,6 @@ def test_burst_sweep_is_one_traced_call_over_every_report(capsys):
     sweeps = [work for name, *_, work in tracer.spans if name == "burst.burst_sweep"]
     assert sweeps == [32 + 31]
     assert tracer.index_calls == 32
+    # the columns count the same work, so the tracer can count them instead
+    result = burst_sweep(validate_config(32, 16, 1), 1, 2)
+    assert len(result.reports) == sum(map(len, result.runs)) == 32 + 31
