@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .config import InterleaverConfig
 from .errors import RangeError
-from .reference import deinterleave_index
+from .reference import Direction, build_table, deinterleave_index
 
 # Correction limit as reported for the WiMAX outer code: 8 consecutive
 # erroneous *bits*. This is the published simplification; RS(255,239)
@@ -174,9 +174,7 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
         gaps = [n] * n  # no pair yet: the first pair sets the gap
     # spans[L][s] for b < L <= last: each run of original bits v, v + 1, ...
     # grows one bit at a time until its channel positions span over last
-    pos = [0] * n  # the inverse of dmap
-    for j, k in enumerate(dmap):
-        pos[k] = j
+    pos = build_table(cfg, Direction.INTERLEAVE).map  # the inverse of dmap
     spans: list[dict[int, int]] = [{} for _ in range(last + 1)]
     for v in range(n - 1) if last > b else ():
         lo = hi = pos[v]

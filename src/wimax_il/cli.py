@@ -14,9 +14,7 @@ import sys
 from collections.abc import Iterable
 from functools import cache
 
-from .config import (
-    DEFAULT_D, DEFAULT_UNIT_DELAY_NS, PRESETS, InterleaverConfig, preset, validate_config,
-)
+from .config import DEFAULT_D, DEFAULT_UNIT_DELAY_NS, PRESETS, InterleaverConfig, preset
 from .errors import InterleaverError, RangeError, TableFormatError
 from .reference import Direction, build_table, invert_table
 from .tablefile import read_table, serialize_table
@@ -43,7 +41,7 @@ def _resolve_config(args: argparse.Namespace) -> InterleaverConfig:
         return preset(args.preset)
     if args.ncbps is None or args.s is None:
         raise RangeError("need --ncbps and --s (or --preset)")
-    return validate_config(args.ncbps, args.d if args.d is not None else DEFAULT_D, args.s)
+    return InterleaverConfig(args.ncbps, args.d if args.d is not None else DEFAULT_D, args.s)
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
@@ -75,7 +73,7 @@ def _verify_config(cfg: InterleaverConfig) -> tuple[str, bool]:
     bijective = itab.is_permutation() and dtab.is_permutation()
     inverse_ok = sum(1 for k in range(cfg.n_cbps) if dtab.map[itab.map[k]] == k)
     incremental_ok = generator.run(cfg).map == dtab.map
-    invert_ok = invert_table(itab).map == dtab.map
+    invert_ok = bijective and invert_table(itab).map == dtab.map
     ok = (
         bijective
         and inverse_ok == cfg.n_cbps

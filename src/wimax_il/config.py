@@ -39,6 +39,10 @@ class InterleaverConfig(_Triple):
 
     The last constraint keeps the mod-s significance groups aligned with
     the column structure; every standard configuration satisfies it.
+
+    Raises RangeError for domain violations (d, s, n_cbps out of range) and
+    DivisibilityError when d does not divide n_cbps or s does not divide
+    the row count.
     """
 
     __slots__ = ()
@@ -76,16 +80,6 @@ class InterleaverConfig(_Triple):
     def as_dict(self) -> dict:
         """The "config" object of the JSON reports."""
         return {"ncbps": self.n_cbps, "d": self.d, "s": self.s}
-
-
-def validate_config(n_cbps: int, d: int, s: int) -> InterleaverConfig:
-    """Return an immutable config iff every invariant holds.
-
-    Raises RangeError for domain violations (d, s, n_cbps out of range) and
-    DivisibilityError when d does not divide n_cbps or s does not divide
-    the row count.
-    """
-    return InterleaverConfig(n_cbps, d, s)
 
 
 # Default block sizes per modulation, d=16. The address math is generic in

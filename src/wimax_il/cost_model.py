@@ -374,18 +374,19 @@ def compare_variants(
         deltas=deltas,
         unit_delay_ns=unit_delay_ns,
         ordering_checks=ordering_checks,
-        comparison_check=reduction_check(PAPER_REFERENCE),
+        comparison_check=reduction_check(),
     )
 
 
-def reduction_check(
-    ref: PaperReference = PAPER_REFERENCE, tol: float = COMPARISON_TOLERANCE
-) -> list[tuple[str, float, float, bool]]:
+def reduction_check() -> list[tuple[str, float, float, bool]]:
     """Recompute each published comparison percentage, 100*(ours-theirs)/theirs,
     from the comparison table's own input columns, and check it against the
-    printed one. Each row: (name, recomputed, printed, within tolerance)."""
+    printed one, within COMPARISON_TOLERANCE. PAPER_REFERENCE and
+    COMPARISON_TOLERANCE are read when called, not when defined.
+    Each row: (name, recomputed, printed, within tolerance)."""
+    ref = PAPER_REFERENCE
     rows = []
     for name, ours, theirs, printed in COMPARISON:
         got, want = _pct(getattr(ref, ours), getattr(ref, theirs)), getattr(ref, printed)
-        rows.append((name, got, want, abs(got - want) <= tol))
+        rows.append((name, got, want, abs(got - want) <= COMPARISON_TOLERANCE))
     return rows

@@ -20,7 +20,7 @@ it. Values are not range-checked at parse time; verification
 """
 from __future__ import annotations
 
-from .config import validate_config
+from .config import InterleaverConfig
 from .errors import TableFormatError
 from .reference import AddressTable, Direction
 
@@ -59,7 +59,7 @@ def parse_table(text: str) -> AddressTable:
         key, _, value = part.partition("=")
         fields[key] = value
     try:
-        cfg = validate_config(
+        cfg = InterleaverConfig(
             int(fields["ncbps"]), int(fields["d"]), int(fields["s"])
         )
     except (KeyError, ValueError) as exc:

@@ -1,13 +1,13 @@
-from wimax_il import InterleaverConfig, validate_config
+from wimax_il.config import InterleaverConfig
 
 # Acceptance set: every exhaustive criterion runs over these.
 ACCEPTANCE_CONFIGS = [
-    validate_config(32, 16, 1),
-    validate_config(192, 16, 1),
-    validate_config(384, 16, 2),
-    validate_config(576, 16, 3),
-    validate_config(768, 16, 2),
-    validate_config(1152, 16, 3),
+    InterleaverConfig(32, 16, 1),
+    InterleaverConfig(192, 16, 1),
+    InterleaverConfig(384, 16, 2),
+    InterleaverConfig(576, 16, 3),
+    InterleaverConfig(768, 16, 2),
+    InterleaverConfig(1152, 16, 3),
 ]
 
 
@@ -18,5 +18,5 @@ def all_valid_configs(max_n: int = 2048) -> list[InterleaverConfig]:
         for n in range(2 * d, max_n + 1, d):
             for s in (1, 2, 3):
                 if (n // d) % s == 0:
-                    out.append(validate_config(n, d, s))
+                    out.append(InterleaverConfig(n, d, s))
     return out

@@ -10,27 +10,25 @@ import json
 import tempfile
 from pathlib import Path
 
-from wimax_il import (
+from wimax_il.burst import burst_sweep
+from wimax_il.cli import main as cli_main
+from wimax_il.config import InterleaverConfig
+from wimax_il.cost_model import compare_variants, reduction_check
+from wimax_il.generator import OpCensus, run
+from wimax_il.reference import (
     Direction,
-    OpCensus,
     build_table,
-    burst_sweep,
-    compare_variants,
     deinterleave_index,
     interleave_index,
-    reduction_check,
-    run,
-    validate_config,
 )
-from wimax_il.cli import main as cli_main
 
 CONFIGS = [
-    validate_config(32, 16, 1),
-    validate_config(192, 16, 1),
-    validate_config(384, 16, 2),
-    validate_config(576, 16, 3),
-    validate_config(768, 16, 2),
-    validate_config(1152, 16, 3),
+    InterleaverConfig(32, 16, 1),
+    InterleaverConfig(192, 16, 1),
+    InterleaverConfig(384, 16, 2),
+    InterleaverConfig(576, 16, 3),
+    InterleaverConfig(768, 16, 2),
+    InterleaverConfig(1152, 16, 3),
 ]
 
 CFG32 = CONFIGS[0]

@@ -6,28 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wimax_il import (
-    RangeError,
-    burst,
-    burst_sweep,
-    deinterleave_index,
-    interleave_index,
-    preset,
-    validate_config,
-)
+from wimax_il import burst
 from wimax_il.burst import (
     COLUMNS,
     FORMAT_LINE,
     RS_CRITERION_NOTE,
     RS_MAX_CORRECTABLE_RUN,
+    burst_sweep,
     window_stats,
 )
 from wimax_il.cli import main
+from wimax_il.config import InterleaverConfig, preset
+from wimax_il.errors import RangeError
+from wimax_il.reference import deinterleave_index, interleave_index
 
 from conftest import all_valid_configs
 
-CFG32 = validate_config(32, 16, 1)
-CFG192 = validate_config(192, 16, 1)
+CFG32 = InterleaverConfig(32, 16, 1)
+CFG192 = InterleaverConfig(192, 16, 1)
 
 
 @cache
@@ -52,11 +48,11 @@ SWEEP_CASES = pytest.mark.parametrize(
     "cfg,max_b",
     [
         (CFG32, CFG32.n_cbps),
-        (validate_config(144, 12, 1), 144),
+        (InterleaverConfig(144, 12, 1), 144),
         (preset("qpsk"), 16),
         (preset("qam16"), 16),
         (preset("qam64"), 16),
-        (validate_config(768, 16, 2), 16),
+        (InterleaverConfig(768, 16, 2), 16),
     ],
     ids=["32_16_1", "144_12_1", "qpsk", "qam16", "qam64", "768_16_2"],
 )
@@ -92,7 +88,7 @@ def test_one_call_sweeps_every_length(cfg, max_b):
     "triple", [(32, 16, 1), (144, 12, 1), (384, 16, 2), (576, 16, 3)]
 )
 def test_one_call_sweeps_a_range_above_1(triple, first, last):
-    assert_one_call_matches_brute_force(validate_config(*triple), first, last)
+    assert_one_call_matches_brute_force(InterleaverConfig(*triple), first, last)
 
 
 @pytest.mark.parametrize(
@@ -104,7 +100,7 @@ def test_one_call_sweeps_a_range_above_1(triple, first, last):
     ],
 )
 def test_one_call_matches_brute_force_on_s2_s3_blocks(triple, first, last):
-    assert_one_call_matches_brute_force(validate_config(*triple), first, last)
+    assert_one_call_matches_brute_force(InterleaverConfig(*triple), first, last)
 
 
 @settings(deadline=None, max_examples=25)  # the brute force is slow, not the sweep
@@ -135,7 +131,7 @@ def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first,
 
     for name in calls:
         monkeypatch.setattr(burst, name, counted(name))
-    cfg = validate_config(*triple)
+    cfg = InterleaverConfig(*triple)
     result = burst_sweep(cfg, first, last)
     assert result.lengths == range(first, last + 1)
     assert calls == {"window_stats": cfg.n_cbps - first + 1, "deinterleave_index": cfg.n_cbps}
@@ -208,7 +204,7 @@ def test_min_pairwise_spacing():
 
 def test_sweep_dispersal_guarantee_s1():
     """s=1: any burst no longer than the row count scatters completely."""
-    for cfg in [CFG32, CFG192, validate_config(384, 16, 1), validate_config(144, 12, 1)]:
+    for cfg in [CFG32, CFG192, InterleaverConfig(384, 16, 1), InterleaverConfig(144, 12, 1)]:
         for b in range(1, cfg.rows + 1):
             sweep = burst_sweep(cfg, b)
             assert sweep.worst_max_run_length == 1, (cfg, b)
@@ -239,7 +235,7 @@ def test_sweep_32_burst3_breaks_guarantee():
     ],
 )
 def test_sweep_regression_values_s2_s3(cfg_triple, b, worst):
-    cfg = validate_config(*cfg_triple)
+    cfg = InterleaverConfig(*cfg_triple)
     assert burst_sweep(cfg, b).worst_max_run_length == worst
 
 
@@ -290,8 +286,8 @@ def test_reports_carry_rs_flag():
         (preset("qpsk"), 10),
         (preset("qam16"), 10),
         (preset("qam64"), 10),
-        (validate_config(768, 12, 2), 10),
-        (validate_config(9216, 12, 1), 2),  # lengths of several blocks
+        (InterleaverConfig(768, 12, 2), 10),
+        (InterleaverConfig(9216, 12, 1), 2),  # lengths of several blocks
     ],
     ids=["32_16_1", "qpsk", "qam16", "qam64", "768_12_2", "9216_12_1"],
 )
@@ -341,7 +337,7 @@ def test_report_writers_hold_one_block_of_rows_at_a_time():
     of at most BLOCK_ROWS reports, none longer than that many of the longest
     row (the bytes are pinned by the json.dumps test above); a length that
     fits in one block is one chunk."""
-    result = burst_sweep(validate_config(9216, 12, 1), 3)  # 9214 starts
+    result = burst_sweep(InterleaverConfig(9216, 12, 1), 3)  # 9214 starts
     reports = [dict(zip(COLUMNS, r)) for r in result.reports]
     chunks = list(burst.json_chunks(result))
     assert sum('"start"' in chunk for chunk in chunks) == 3
@@ -353,5 +349,5 @@ def test_report_writers_hold_one_block_of_rows_at_a_time():
     longest = max(len(",".join(str(int(v)) for v in r.values()) + "\n") for r in reports)
     assert max(map(len, blocks)) <= burst.BLOCK_ROWS * longest
 
-    sweep = burst_sweep(validate_config(768, 16, 2), 1, 3)
+    sweep = burst_sweep(InterleaverConfig(768, 16, 2), 1, 3)
     assert len(list(burst.csv_chunks(sweep))) == 1 + 3

@@ -9,9 +9,10 @@ import pytest
 
 import wimax_il
 import wimax_il.cli
-from wimax_il import burst, cost_model
+from wimax_il import burst, cost_model, generator
 from wimax_il.cli import build_parser, main
 from wimax_il.config import MAX_NCBPS
+from wimax_il.reference import Direction
 from wimax_il.tablefile import MAX_TABLE_CHARS, read_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +127,41 @@ def test_verify_all_presets(capsys):
     assert main(["verify", "--all-presets"]) == 0
     out = capsys.readouterr().out
     assert "PASS: 3/3 configs clean" in out
+
+
+def swap_first_two(table):
+    a, b, *rest = table.map
+    return table._replace(map=(b, a, *rest))
+
+
+def duplicate_an_interleave_address(table):
+    if table.direction is not Direction.INTERLEAVE:
+        return table
+    return table._replace(map=(table.map[1], *table.map[1:]))
+
+
+@pytest.mark.parametrize(
+    "column,module,attr,corrupt",
+    [
+        ("incremental", generator, "run", swap_first_two),
+        ("invert", wimax_il.cli, "invert_table", swap_first_two),
+        ("bijective", wimax_il.cli, "build_table", duplicate_an_interleave_address),
+    ],
+    ids=["incremental", "invert", "bijective"],
+)
+def test_verify_all_presets_fails_closed(monkeypatch, capsys, column, module, attr, corrupt):
+    """A corrupted engine output is a FAIL row and exit 1 on every preset,
+    also when the interleave table is no permutation and cannot be inverted."""
+    original = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: corrupt(original(*args)))
+    assert main(["verify", "--all-presets"]) == 1
+    *rows, summary = capsys.readouterr().out.splitlines()
+    assert summary == "FAIL: 0/3 configs clean"
+    assert len(rows) == 3
+    for row in rows:
+        assert f"{column}=FAIL" in row and row.endswith(" FAIL"), row
+        n = row.split(",")[0]
+        assert (f"inverse={n}/{n} " not in row) == (column == "bijective"), row
 
 
 @pytest.mark.parametrize(

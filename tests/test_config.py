@@ -1,14 +1,13 @@
 import pytest
 
-from wimax_il import (
+from wimax_il.config import (
+    MAX_NCBPS,
     PAPER_REFERENCE,
     PRESETS,
-    DivisibilityError,
-    RangeError,
+    InterleaverConfig,
     preset,
-    validate_config,
 )
-from wimax_il.config import MAX_NCBPS
+from wimax_il.errors import DivisibilityError, RangeError
 
 
 @pytest.mark.parametrize(
@@ -19,19 +18,19 @@ from wimax_il.config import MAX_NCBPS
     ],
 )
 def test_validate_accepts(n, d, s, rows):
-    cfg = validate_config(n, d, s)
+    cfg = InterleaverConfig(n, d, s)
     assert cfg.rows == rows
 
 
 def test_validate_rejects_non_divisible_n():
     with pytest.raises(DivisibilityError):
-        validate_config(100, 16, 1)
+        InterleaverConfig(100, 16, 1)
 
 
 def test_validate_rejects_non_divisible_rows():
     # 256/16 = 16 rows; 3 does not divide 16
     with pytest.raises(DivisibilityError):
-        validate_config(256, 16, 3)
+        InterleaverConfig(256, 16, 3)
 
 
 @pytest.mark.parametrize(
@@ -43,19 +42,19 @@ def test_validate_rejects_non_divisible_rows():
 )
 def test_validate_rejects_out_of_range(n, d, s):
     with pytest.raises(RangeError):
-        validate_config(n, d, s)
+        InterleaverConfig(n, d, s)
 
 
 def test_config_is_immutable():
-    cfg = validate_config(192, 16, 1)
+    cfg = InterleaverConfig(192, 16, 1)
     with pytest.raises(AttributeError):
         cfg.n_cbps = 384
     assert cfg.n_cbps == 192
 
 
 def test_replace_checks_the_invariants():
-    cfg = validate_config(32, 16, 1)
-    assert cfg._replace(n_cbps=64) == validate_config(64, 16, 1)
+    cfg = InterleaverConfig(32, 16, 1)
+    assert cfg._replace(n_cbps=64) == InterleaverConfig(64, 16, 1)
     with pytest.raises(RangeError):
         cfg._replace(d=7)
     with pytest.raises(DivisibilityError):
@@ -71,10 +70,10 @@ def test_validate_matches_invariants_exhaustively():
                     n >= 2 * d and n % d == 0 and (n // d) % s == 0
                 )
                 if should_pass:
-                    validate_config(n, d, s)
+                    InterleaverConfig(n, d, s)
                 else:
                     with pytest.raises((RangeError, DivisibilityError)):
-                        validate_config(n, d, s)
+                        InterleaverConfig(n, d, s)
 
 
 def test_presets():

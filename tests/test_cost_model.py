@@ -2,23 +2,22 @@ import math
 
 import pytest
 
-from wimax_il import (
-    CyclicGraph,
+from wimax_il.config import InterleaverConfig
+from wimax_il.cost_model import (
     DatapathGraph,
     NodeKind,
-    RangeError,
     Variant,
     build_datapath,
     compare_variants,
     estimate_cost,
     reduction_check,
-    validate_config,
+    width_bits,
 )
-from wimax_il.cost_model import width_bits
+from wimax_il.errors import CyclicGraph, RangeError
 
 from conftest import ACCEPTANCE_CONFIGS
 
-CFG192 = validate_config(192, 16, 1)
+CFG192 = InterleaverConfig(192, 16, 1)
 
 
 def toy_graph(width=8):
@@ -64,7 +63,7 @@ def test_undefined_input_is_rejected():
 
 def test_width_bits():
     assert width_bits(CFG192) == math.ceil(math.log2(192 * 16))
-    assert width_bits(validate_config(384, 16, 2)) == 13
+    assert width_bits(InterleaverConfig(384, 16, 2)) == 13
 
 
 def test_variant_orderings_hold_for_every_config():
@@ -110,8 +109,8 @@ def test_q_mod_s_trackers_advance_only_on_r_wrap():
 
 
 def test_node_count_is_config_independent():
-    small = build_datapath(validate_config(32, 16, 1), Variant.SPEED)
-    large = build_datapath(validate_config(1152, 16, 3), Variant.SPEED)
+    small = build_datapath(InterleaverConfig(32, 16, 1), Variant.SPEED)
+    large = build_datapath(InterleaverConfig(1152, 16, 3), Variant.SPEED)
     assert len(small.nodes) == len(large.nodes)
     assert small.width_bits < large.width_bits
 

@@ -3,19 +3,14 @@ import inspect
 
 import pytest
 
-from wimax_il import (
-    Direction,
-    OpCensus,
-    build_table,
-    deinterleave_index,
-    run,
-    validate_config,
-)
+from wimax_il.config import InterleaverConfig
+from wimax_il.generator import OpCensus, run
+from wimax_il.reference import Direction, build_table, deinterleave_index
 
 from conftest import ACCEPTANCE_CONFIGS, all_valid_configs
 
-CFG32 = validate_config(32, 16, 1)
-CFG384 = validate_config(384, 16, 2)
+CFG32 = InterleaverConfig(32, 16, 1)
+CFG384 = InterleaverConfig(384, 16, 2)
 
 
 def test_first_step_emits_zero():
@@ -94,7 +89,7 @@ def test_census_is_exact(triple, expected):
     """Whole-block op counts for every acceptance config and for d=12 and
     larger blocks, pinned exactly."""
     census = OpCensus()
-    run(validate_config(*triple), census)
+    run(InterleaverConfig(*triple), census)
     assert census == expected
 
 

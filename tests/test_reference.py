@@ -5,25 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wimax_il import (
+from wimax_il import reference
+from wimax_il.config import InterleaverConfig
+from wimax_il.errors import IndexOutOfRange, LengthMismatch, NotAPermutation
+from wimax_il.reference import (
     AddressTable,
     Direction,
-    IndexOutOfRange,
-    LengthMismatch,
-    NotAPermutation,
     apply_permutation,
     build_table,
     deinterleave_index,
     interleave_index,
     invert_table,
-    reference,
-    validate_config,
 )
 
 from conftest import ACCEPTANCE_CONFIGS, all_valid_configs
 
-CFG32 = validate_config(32, 16, 1)
-CFG384 = validate_config(384, 16, 2)
+CFG32 = InterleaverConfig(32, 16, 1)
+CFG384 = InterleaverConfig(384, 16, 2)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +98,7 @@ def test_bijectivity_and_mutual_inverse_exhaustive():
 def test_first_stage_matches_row_column_block_oracle():
     """For s=1 the table must equal the classic write-row-wise /
     read-column-wise block permutation, coded independently with numpy."""
-    for cfg in [CFG32, validate_config(192, 16, 1), validate_config(144, 12, 1)]:
+    for cfg in [CFG32, InterleaverConfig(192, 16, 1), InterleaverConfig(144, 12, 1)]:
         n, d, rows = cfg.n_cbps, cfg.d, cfg.rows
         # bit k sits at (row k//d, col k%d); column-wise readout position
         grid = np.arange(n).reshape(rows, d)
@@ -115,7 +113,7 @@ def test_first_stage_matches_row_column_block_oracle():
 def test_adjacent_inputs_never_adjacent_outputs():
     """s=1, at least two rows: adjacent coded bits land on non-adjacent
     outputs."""
-    for cfg in [CFG32, validate_config(192, 16, 1), validate_config(2048, 16, 1)]:
+    for cfg in [CFG32, InterleaverConfig(192, 16, 1), InterleaverConfig(2048, 16, 1)]:
         tab = build_table(cfg, Direction.INTERLEAVE).map
         gaps = [abs(tab[k + 1] - tab[k]) for k in range(cfg.n_cbps - 1)]
         assert min(gaps) >= 2

@@ -1,7 +1,7 @@
-"""Each command loads only what it runs, and the package API resolves
-lazily. The import checks run in fresh interpreters and compare sys.modules
-against a snapshot taken first, so what site already loaded does not count."""
-import importlib
+"""Each command loads only what it runs, and the package itself loads and
+defines nothing: each name lives in its module. The checks run in fresh
+interpreters and compare against a snapshot taken first, so what site
+already loaded does not count."""
 import os
 import subprocess
 import sys
@@ -34,6 +34,14 @@ BUDGETS = [
 ]
 
 
+def run_child(script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports the package from SRC."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+
+
 def modules_loaded_by(step: str) -> set[str]:
     script = (
         "import sys\n"
@@ -42,11 +50,7 @@ def modules_loaded_by(step: str) -> set[str]:
         "new = sorted(set(sys.modules) - before)\n"
         "sys.stderr.write(' '.join(new))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    return set(proc.stderr.split())
+    return set(run_child(script).stderr.split())
 
 
 @pytest.mark.parametrize("step,unloaded", BUDGETS, ids=["package", "cli", "gen", "burst"])
@@ -56,14 +60,6 @@ def test_command_imports_only_what_it_runs(step, unloaded):
     assert not loaded & unloaded, sorted(loaded & unloaded)
 
 
-def test_every_export_is_its_submodule_object():
-    modules = [importlib.import_module(f"wimax_il.{name}") for name in SUBMODULES]
-    assert len(set(wimax_il.__all__)) == len(wimax_il.__all__)
-    for name in wimax_il.__all__:
-        value = getattr(wimax_il, name)
-        holders = [module for module in modules if hasattr(module, name)]
-        assert holders, name
-        assert all(getattr(module, name) is value for module in holders), name
-    assert set(wimax_il.__all__) <= set(dir(wimax_il))
-    with pytest.raises(AttributeError):
-        wimax_il.no_such_name
+def test_package_defines_no_public_name():
+    script = "import wimax_il; print([n for n in vars(wimax_il) if not n.startswith('_')])"
+    assert run_child(script).stdout == "[]\n"

@@ -4,20 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wimax_il import (
-    AddressTable,
-    Direction,
-    TableFormatError,
-    build_table,
-    run,
-    validate_config,
-)
 from wimax_il.cli import _write
+from wimax_il.config import InterleaverConfig
+from wimax_il.errors import TableFormatError
+from wimax_il.generator import run
+from wimax_il.reference import AddressTable, Direction, build_table
 from wimax_il.tablefile import parse_table, read_table, serialize_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-CFG32 = validate_config(32, 16, 1)
+CFG32 = InterleaverConfig(32, 16, 1)
 
 
 def test_round_trip_equality():
@@ -38,7 +34,7 @@ def test_serialization_is_canonical():
 
 def test_engines_serialize_identically():
     for triple in [(32, 16, 1), (384, 16, 2), (576, 16, 3)]:
-        cfg = validate_config(*triple)
+        cfg = InterleaverConfig(*triple)
         reference = serialize_table(build_table(cfg, Direction.DEINTERLEAVE))
         incremental = serialize_table(run(cfg))
         assert reference == incremental
@@ -59,7 +55,7 @@ def test_engines_serialize_identically():
 def test_golden_vectors_are_locked(name, triple):
     """Committed tables must match the current build byte for byte."""
     golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-    cfg = validate_config(*triple)
+    cfg = InterleaverConfig(*triple)
     direction = Direction(name.partition("_")[0])
     assert serialize_table(build_table(cfg, direction)) == golden
     parsed = parse_table(golden)

@@ -7,7 +7,9 @@ import importlib.util
 from pathlib import Path
 
 import wimax_il.cli
-from wimax_il import burst_sweep, reference, validate_config
+from wimax_il import reference
+from wimax_il.burst import burst_sweep
+from wimax_il.config import InterleaverConfig
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -42,7 +44,7 @@ def test_traced_pass_reaches_every_layer(tmp_path, capsys):
              "--out", str(tmp_path / "b.csv"), "--json-out", str(tmp_path / "b.json")]
         ) == 0
         assert wimax_il.cli.main(["tradeoff", *triple]) == 0
-        cfg = validate_config(32, 16, 1)
+        cfg = InterleaverConfig(32, 16, 1)
         dtab = reference.build_table(cfg, reference.Direction.DEINTERLEAVE)
         assert sorted(reference.apply_permutation(dtab, list(range(32)))) == list(range(32))
     recorded = {name for name, *_ in tracer.spans}
@@ -62,5 +64,5 @@ def test_burst_sweep_is_one_traced_call_over_every_report(capsys):
     assert sweeps == [32 + 31]
     assert tracer.index_calls == 32
     # the columns count the same work, so the tracer can count them instead
-    result = burst_sweep(validate_config(32, 16, 1), 1, 2)
+    result = burst_sweep(InterleaverConfig(32, 16, 1), 1, 2)
     assert len(result.reports) == sum(map(len, result.runs)) == 32 + 31
