@@ -11,7 +11,10 @@ RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
 The report is written here too: summary_lines for stdout, csv_chunks and
 json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
 names the per-start fields once, in order, for the CSV header, its rows
-and the JSON keys.
+and the JSON keys. A row after its start column depends only on b,
+max_run and min_spacing, so each block formats each of its distinct
+(max_run, min_spacing) tails once and joins them to start strings made
+once per report.
 """
 from __future__ import annotations
 
@@ -45,8 +48,8 @@ _JSON_REPORT = "        {\n%s\n        }" % ",\n".join(
 )
 _JSON_BOOL = ("false", "true")
 _JSON_SWEEP = '    {\n      "b": %d,\n      "worst_max_run_length": %d,\n      "reports": [\n'
-# Most reports formatted at once: the writers hold one block's template,
-# values and text, not a whole burst length's. A block of JSON reports is
+# Most reports formatted at once: the writers hold one block's starts,
+# tails and text, not a whole burst length's. A block of JSON reports is
 # under 1 MB of text; on up to 4096 bits every burst length is one block.
 BLOCK_ROWS = 4096
 
@@ -217,20 +220,38 @@ def summary_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def _rows(b: int, runs: tuple, gaps: tuple, template: str, separator: str, flag: tuple) -> Iterator[str]:
-    """The reports of length b in blocks of at most BLOCK_ROWS, each from
-    one % over the template repeated: b baked in; start, max_run,
-    min_spacing, flag[correctable]. Every block but the first begins with
-    the separator, so that the blocks join to the length's rows."""
-    row = template % ("%d", b, "%d", "%d", "%s")
+def _first_starts(cfg: InterleaverConfig) -> list[str]:
+    """The start column of a report's first block, shared by every length."""
+    return list(map(str, range(min(cfg.n_cbps, BLOCK_ROWS))))
+
+
+def _rows(
+    b: int, runs: tuple, gaps: tuple, template: str, separator: str, flag: tuple, starts: list[str]
+) -> Iterator[str]:
+    """The reports of length b in blocks of at most BLOCK_ROWS, each one
+    join of separator + head, start and tail per row. The template splits
+    at its start slot into the head and the tail; rs_correctable follows
+    from max_run, so a tail depends on (max_run, min_spacing) alone, and a
+    block formats each of its distinct pairs once: b baked in, then
+    max_run, min_spacing, flag[correctable]. starts holds the start strings
+    of the first block; later blocks format theirs. Every row but the
+    length's first begins with the separator, so that the blocks join to
+    the length's rows."""
+    head, tail = template.split("%s", 1)
+    tail = tail % (b, "%d", "%d", "%s")
     for lo in range(0, len(runs), BLOCK_ROWS):
-        block = runs[lo:lo + BLOCK_ROWS]
-        flags = map(flag.__getitem__, map(RS_MAX_CORRECTABLE_RUN.__ge__, block))
-        values = chain.from_iterable(
-            zip(range(lo, lo + len(block)), block, gaps[lo:lo + BLOCK_ROWS], flags)
-        )
-        rows = separator.join([row] * len(block))
-        yield (separator + rows if lo else rows) % tuple(values)
+        hi = min(lo + BLOCK_ROWS, len(runs))
+        block = runs[lo:hi], gaps[lo:hi]
+        tail_of = {
+            pair: tail % (*pair, flag[pair[0] <= RS_MAX_CORRECTABLE_RUN])
+            for pair in set(zip(*block))
+        }
+        pieces = [separator + head, "", ""] * (hi - lo)
+        pieces[1::3] = starts[:hi] if lo == 0 else map(str, range(lo, hi))
+        pieces[2::3] = map(tail_of.__getitem__, zip(*block))
+        if lo == 0:
+            pieces[0] = head
+        yield "".join(pieces)
 
 
 def csv_chunks(result: SweepResult) -> Iterator[str]:
@@ -242,8 +263,9 @@ def csv_chunks(result: SweepResult) -> Iterator[str]:
         f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
         f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
     )
+    starts = _first_starts(cfg)
     for b, runs, gaps in zip(result.lengths, result.runs, result.gaps):
-        yield from _rows(b, runs, gaps, _CSV_ROW, "", (0, 1))
+        yield from _rows(b, runs, gaps, _CSV_ROW, "", (0, 1), starts)
 
 
 def json_chunks(result: SweepResult) -> Iterator[str]:
@@ -262,11 +284,12 @@ def json_chunks(result: SweepResult) -> Iterator[str]:
     # header[:-2] drops the closing "\n}" so that "sweeps" joins the object
     yield f'{header[:-2]},\n  "sweeps": [\n'
     separator = ""
+    starts = _first_starts(result.cfg)
     columns = zip(result.lengths, result.worst_runs, result.runs, result.gaps)
     for b, worst, runs, gaps in columns:
         yield separator + _JSON_SWEEP % (b, worst)
         # apart from the sweep's frame, so that no block is copied
-        yield from _rows(b, runs, gaps, _JSON_REPORT, ",\n", _JSON_BOOL)
+        yield from _rows(b, runs, gaps, _JSON_REPORT, ",\n", _JSON_BOOL, starts)
         yield "\n      ]\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"

@@ -71,7 +71,8 @@ def _verify_config(cfg: InterleaverConfig) -> tuple[str, bool]:
     itab = build_table(cfg, Direction.INTERLEAVE)
     dtab = build_table(cfg, Direction.DEINTERLEAVE)
     bijective = itab.is_permutation() and dtab.is_permutation()
-    inverse_ok = sum(1 for k in range(cfg.n_cbps) if dtab.map[itab.map[k]] == k)
+    n = cfg.n_cbps  # an address outside [0, n) inverts nothing
+    inverse_ok = sum(1 for k, j in enumerate(itab.map) if 0 <= j < n and dtab.map[j] == k)
     incremental_ok = generator.run(cfg).map == dtab.map
     invert_ok = bijective and invert_table(itab).map == dtab.map
     ok = (

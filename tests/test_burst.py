@@ -1,9 +1,11 @@
+import hashlib
 import json
 import textwrap
+import tracemalloc
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wimax_il import burst
@@ -351,3 +353,122 @@ def test_report_writers_hold_one_block_of_rows_at_a_time():
 
     sweep = burst_sweep(InterleaverConfig(768, 16, 2), 1, 3)
     assert len(list(burst.csv_chunks(sweep))) == 1 + 3
+
+
+def naive_reports(result):
+    """Every report of a sweep as a COLUMNS-ordered tuple, read off its columns."""
+    return [
+        (start, b, run, gap, run <= RS_MAX_CORRECTABLE_RUN)
+        for b, runs, gaps in zip(result.lengths, result.runs, result.gaps)
+        for start, (run, gap) in enumerate(zip(runs, gaps))
+    ]
+
+
+def naive_csv(result):
+    cfg = result.cfg
+    text = (
+        f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
+        f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
+    )
+    return text + "".join(
+        f"{start},{b},{run},{gap},{int(ok)}\n" for start, b, run, gap, ok in naive_reports(result)
+    )
+
+
+def naive_json(result):
+    reports = naive_reports(result)
+    payload = {
+        "config": result.cfg.as_dict(),
+        "rs_criterion_note": RS_CRITERION_NOTE,
+        "sweeps": [
+            {
+                "b": b,
+                "worst_max_run_length": worst,
+                "reports": [dict(zip(COLUMNS, r)) for r in reports if r[1] == b],
+            }
+            for b, worst in zip(result.lengths, result.worst_runs)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    cfg=st.sampled_from(all_valid_configs(384)),
+    last=st.integers(1, 384),
+    span=st.integers(0, 15),
+    block_rows=st.integers(1, 9),
+)
+@example(cfg=CFG32, last=32, span=15, block_rows=7)  # runs up to 32 > 8
+def test_writers_match_a_naive_renderer(cfg, last, span, block_rows):
+    """Both writers write what a row-at-a-time renderer writes, with blocks
+    small enough that lengths span several, so that block seams, the later
+    blocks' own start strings and (max_run, min_spacing) pairs that recur
+    across blocks are all written."""
+    last = min(last, cfg.n_cbps)
+    first = max(1, last - span)
+    result = burst_sweep(cfg, first, last)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(burst, "BLOCK_ROWS", block_rows)
+        csv_header, *csv_blocks = burst.csv_chunks(result)
+        json_parts = list(burst.json_chunks(result))
+    assert csv_header + "".join(csv_blocks) == naive_csv(result)
+    assert "".join(json_parts) == naive_json(result)
+    assert max(block.count("\n") for block in csv_blocks) <= block_rows
+    assert max(part.count('"start"') for part in json_parts) <= block_rows
+
+
+def test_report_writers_peak_under_3_mb():
+    """Writing a 65,409-report length holds one block's tails, start
+    strings and text at a time, not the length's: each writer peaks at no
+    more than 3.0 MB of Python allocations (the JSON writer's peak when it
+    formatted every value of a block)."""
+    result = burst_sweep(InterleaverConfig(65536, 16, 1), 128)
+    for writer in (burst.csv_chunks, burst.json_chunks):
+        tracemalloc.start()
+        try:
+            for _ in writer(result):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000, (writer.__name__, peak)
+
+
+# SHA-256 of the CSV and JSON reports of burst --sweep-max on the blocks of the
+# sweep benchmark workload and one of several blocks a length, captured as
+# tests/golden/README.md shows
+REPORT_DIGESTS = {
+    ("--preset", "qpsk", "--sweep-max", "14"): (
+        "4d520a9f45818a7467639d6a6a476941bd8d45b17a72468de854fce5f046936f",
+        "582172dfa7912c3770e8c46ecafe2749db8f423bcdd16ae57a2949cdc4fba769",
+    ),
+    ("--preset", "qam16", "--sweep-max", "10"): (
+        "424070d340b4cf084edb45a1e945b205f9c1735fdfb1e00d324fc7fc64829bd2",
+        "b48b9e883d5f728a8ce1000f9efc2c42ffc3da810a7c3f9827bb15adf94e7271",
+    ),
+    ("--preset", "qam64", "--sweep-max", "10"): (
+        "45a1affa662aa8e9644badc47964bf0e024d382fe5b843a38b14e8cd1c2cc2ac",
+        "01ae0dd91af46a2c9d38fe9b98e88e7e292a529727bcaeb8385efb694280e8a7",
+    ),
+    ("--ncbps", "768", "--d", "12", "--s", "2", "--sweep-max", "10"): (
+        "8f0931f4ec82435ec8bd186f29fc6733e83a146030f89a623bbe5a1c9c61799d",
+        "bc6698e3698a4943f2a869e8dd648ecf51b2fb6ba3b077ec5009416a9d6bc4b6",
+    ),
+    ("--ncbps", "768", "--d", "16", "--s", "3", "--sweep-max", "10"): (
+        "c7ecafa2e81a4d0b65147ddb494f357c8f3784e3a7a32526dbf06b0a7fe17fc2",
+        "dd34d55278f4d4dbefa965609bc4b68731686982db39532f8bb9dde89b845776",
+    ),
+    ("--ncbps", "9216", "--d", "12", "--s", "1", "--sweep-max", "3"): (  # 3 blocks a length
+        "30c143e1ec8f68c005ec7414dae3cac9a0f9665c0357aa8a6ddd0d0f4250e68d",
+        "063cdeb8a416c8082f1e3d7841752f5c289b1b84f906f1a8e2f1a1760aa2bb6c",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", REPORT_DIGESTS, ids=lambda args: "_".join(args[1:-2:2]))
+def test_report_files_match_golden_digests(args, tmp_path, capsys):
+    csv_path, json_path = tmp_path / "burst.csv", tmp_path / "burst.json"
+    assert main(["burst", *args, "--out", str(csv_path), "--json-out", str(json_path)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv_path, json_path))
+    assert digests == REPORT_DIGESTS[args]

@@ -140,14 +140,30 @@ def duplicate_an_interleave_address(table):
     return table._replace(map=(table.map[1], *table.map[1:]))
 
 
+def move_the_last_interleave_address(to):
+    """A corruption that writes channel position to(n_cbps) where the
+    interleave table sends a bit to the last one, n_cbps - 1: past the end,
+    or -1, which Python indexing would read as that last position."""
+
+    def corrupt(table):
+        if table.direction is not Direction.INTERLEAVE:
+            return table
+        n = table.cfg.n_cbps
+        return table._replace(map=tuple(to(n) if j == n - 1 else j for j in table.map))
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "column,module,attr,corrupt",
     [
         ("incremental", generator, "run", swap_first_two),
         ("invert", wimax_il.cli, "invert_table", swap_first_two),
         ("bijective", wimax_il.cli, "build_table", duplicate_an_interleave_address),
+        ("bijective", wimax_il.cli, "build_table", move_the_last_interleave_address(lambda n: n + 3)),
+        ("bijective", wimax_il.cli, "build_table", move_the_last_interleave_address(lambda n: -1)),
     ],
-    ids=["incremental", "invert", "bijective"],
+    ids=["incremental", "invert", "bijective", "out_of_range", "negative"],
 )
 def test_verify_all_presets_fails_closed(monkeypatch, capsys, column, module, attr, corrupt):
     """A corrupted engine output is a FAIL row and exit 1 on every preset,
