@@ -96,11 +96,6 @@ class SweepResult(NamedTuple):
     worst_runs: tuple[int, ...]
 
     @property
-    def worst_max_run_length(self) -> int:
-        """The worst run over every swept length."""
-        return max(self.worst_runs)
-
-    @property
     def reports(self) -> tuple[tuple[int, int, int, int, bool], ...]:
         """Every report as a COLUMNS-ordered tuple, in CSV row order (by
         burst length, then start). Only the benchmark's tracer counts them;

@@ -1,4 +1,4 @@
-"""Interleaver parameter sets, validation, and published reference constants.
+"""Interleaver parameter sets, their validation, and the presets.
 
 A block is described by the triple (n_cbps, d, s): n_cbps coded bits per
 OFDM symbol, d interleaver columns (12 or 16, 16 preferred as a power of
@@ -7,6 +7,7 @@ two), and the constellation-significance parameter s (1 for QPSK, 2 for
 """
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .errors import DivisibilityError, RangeError
@@ -22,6 +23,13 @@ MAX_NCBPS = 65536
 # The trade-off model's combinational unit delay; here so that the CLI's
 # option default needs no cost model.
 DEFAULT_UNIT_DELAY_NS = 1.0
+
+
+def _as_int(name: str, value) -> int:
+    try:
+        return operator.index(value)  # an int, also from a numpy integer
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class _Triple(NamedTuple):
@@ -40,15 +48,16 @@ class InterleaverConfig(_Triple):
     The last constraint keeps the mod-s significance groups aligned with
     the column structure; every standard configuration satisfies it.
 
-    Raises RangeError for domain violations (d, s, n_cbps out of range) and
-    DivisibilityError when d does not divide n_cbps or s does not divide
-    the row count.
+    Raises RangeError for a non-integer parameter (int-likes such as numpy
+    integers are stored as int) or a domain violation (d, s, n_cbps out of
+    range), and DivisibilityError when d does not divide n_cbps or s does
+    not divide the row count.
     """
 
     __slots__ = ()
 
     def __new__(cls, n_cbps: int, d: int, s: int) -> "InterleaverConfig":
-        n = n_cbps
+        n, d, s = _as_int("n_cbps", n_cbps), _as_int("d", d), _as_int("s", s)
         if d not in ALLOWED_D:
             raise RangeError(f"d must be one of {ALLOWED_D}, got {d}")
         if s not in ALLOWED_S:
@@ -63,7 +72,7 @@ class InterleaverConfig(_Triple):
             raise DivisibilityError(
                 f"s = {s} does not divide the row count n_cbps/d = {n // d}"
             )
-        return super().__new__(cls, n_cbps, d, s)
+        return super().__new__(cls, n, d, s)
 
     @classmethod
     def _make(cls, iterable) -> "InterleaverConfig":
@@ -96,51 +105,3 @@ def preset(name: str) -> InterleaverConfig:
         return PRESETS[name.lower()]
     except KeyError:
         raise RangeError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-
-
-class PaperReference(NamedTuple):
-    """Published synthesis figures for the deinterleaver address generator
-    this library models (Xilinx ISE, Spartan-3 XC3S400/PQ208, speed -5).
-
-    These are reported constants, loaded once and never computed. The
-    published flip-flop utilization of 0.153% is in tension with the
-    published absolute count (16 of 7168 is about 0.223%); both values are
-    kept exactly as printed rather than reconciled.
-    """
-
-    # area-optimized vs speed-optimized synthesis of the same circuit
-    area_fmax_mhz: float = 107.41
-    speed_fmax_mhz: float = 130.2
-    power_mw: float = 56.0
-    area_ff: int = 15
-    speed_ff: int = 16
-    area_lut: int = 116
-    speed_lut: int = 120
-    slices: int = 65
-
-    # comparison table: speed-optimized design vs prior techniques
-    comparison_fmax_mhz: float = 130.24
-    comparison_slices_pct: float = 1.0
-    comparison_ff_pct: float = 0.153
-    comparison_lut_pct: float = 1.0
-    upadhyaya_fmax_mhz: float = 121.82
-    upadhyaya_slices_pct: float = 3.49
-    upadhyaya_ff_pct: float = 0.50
-    upadhyaya_lut_pct: float = 3.35
-    lut_method_fmax_mhz: float = 62.51
-
-    # reduction percentages as printed in the comparison table
-    printed_slices_reduction_pct: float = -71.34
-    printed_ff_reduction_pct: float = -69.4
-    printed_lut_reduction_pct: float = -70.14
-    printed_fmax_increase_pct: float = 6.9
-
-    # device metadata only; no synthesis is performed here
-    fpga_family: str = "Spartan 3"
-    fpga_device: str = "XC3S400"
-    fpga_package: str = "PQ208"
-    fpga_speed_grade: str = "-5"
-    toolchain: str = "Xilinx ISE"
-
-
-PAPER_REFERENCE = PaperReference()

@@ -17,10 +17,10 @@ published synthesis figures separately. Absolute LUT counts are not
 claimed to match the published ones; only the orderings (speed uses one
 more register, area has the longer critical path) are asserted.
 
-compare_variants returns the whole trade-off report (estimates, deltas,
-published figures, ordering checks and the comparison-table arithmetic
-check); TradeoffReport renders it as text and JSON, and its ok flag is the
-tradeoff command's verdict.
+compare_variants returns a TradeoffReport of the two estimates. It derives
+the deltas and ordering checks from them, renders them as text and JSON
+next to the published figures (PAPER_REFERENCE, kept here, their only
+reader) and reduction_check, and its ok flag is the tradeoff verdict.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import enum
 from collections import Counter
 from typing import NamedTuple
 
-from .config import DEFAULT_UNIT_DELAY_NS, PAPER_REFERENCE, InterleaverConfig, PaperReference
+from .config import DEFAULT_UNIT_DELAY_NS, InterleaverConfig
 from .errors import CyclicGraph, RangeError
 
 # Accepted unit delays. At the least, on the speed variant's depth-3 chain,
@@ -36,6 +36,54 @@ from .errors import CyclicGraph, RangeError
 MIN_UNIT_DELAY_NS = 0.001
 MAX_UNIT_DELAY_NS = 1000.0
 COMPARISON_TOLERANCE = 0.1
+
+
+class PaperReference(NamedTuple):
+    """Published synthesis figures for the deinterleaver address generator
+    this library models (Xilinx ISE, Spartan-3 XC3S400/PQ208, speed -5).
+
+    These are reported constants, loaded once and never computed. The
+    published flip-flop utilization of 0.153% is in tension with the
+    published absolute count (16 of 7168 is about 0.223%); both values are
+    kept exactly as printed rather than reconciled.
+    """
+
+    # area-optimized vs speed-optimized synthesis of the same circuit
+    area_fmax_mhz: float = 107.41
+    speed_fmax_mhz: float = 130.2
+    power_mw: float = 56.0
+    area_ff: int = 15
+    speed_ff: int = 16
+    area_lut: int = 116
+    speed_lut: int = 120
+    slices: int = 65
+
+    # comparison table: speed-optimized design vs prior techniques
+    comparison_fmax_mhz: float = 130.24
+    comparison_slices_pct: float = 1.0
+    comparison_ff_pct: float = 0.153
+    comparison_lut_pct: float = 1.0
+    upadhyaya_fmax_mhz: float = 121.82
+    upadhyaya_slices_pct: float = 3.49
+    upadhyaya_ff_pct: float = 0.50
+    upadhyaya_lut_pct: float = 3.35
+    lut_method_fmax_mhz: float = 62.51
+
+    # reduction percentages as printed in the comparison table
+    printed_slices_reduction_pct: float = -71.34
+    printed_ff_reduction_pct: float = -69.4
+    printed_lut_reduction_pct: float = -70.14
+    printed_fmax_increase_pct: float = 6.9
+
+    # device metadata only; no synthesis is performed here
+    fpga_family: str = "Spartan 3"
+    fpga_device: str = "XC3S400"
+    fpga_package: str = "PQ208"
+    fpga_speed_grade: str = "-5"
+    toolchain: str = "Xilinx ISE"
+
+
+PAPER_REFERENCE = PaperReference()
 
 # The published comparison table, one row per percentage:
 # (name, our column, Upadhyaya et al.'s column, the printed percentage).
@@ -259,19 +307,36 @@ def estimate_cost(
 
 
 class TradeoffReport(NamedTuple):
+    """The two estimates of one config at one unit delay; the rest of the
+    report is derived from them, or read from PAPER_REFERENCE, when used."""
+
     cfg: InterleaverConfig
     area: CostReport
     speed: CostReport
-    paper: PaperReference
-    deltas: dict
     unit_delay_ns: float
-    ordering_checks: tuple[tuple[str, bool], ...]
-    comparison_check: list[tuple[str, float, float, bool]]
+
+    @property
+    def deltas(self) -> dict:
+        a, s = self.area, self.speed
+        return {
+            "fmax_proxy_pct": _pct(s.fmax_proxy_mhz, a.fmax_proxy_mhz),
+            "lut_equiv_pct": _pct(s.lut_equiv, a.lut_equiv),
+            "register_count_delta": s.register_count - a.register_count,
+            "critical_path_depth_delta": s.critical_path_depth - a.critical_path_depth,
+        }
+
+    @property
+    def ordering_checks(self) -> tuple[tuple[str, bool], ...]:
+        a, s = self.area, self.speed
+        return (
+            ("speed depth < area depth", s.critical_path_depth < a.critical_path_depth),
+            ("speed registers = area registers + 1", s.register_count == a.register_count + 1),
+        )
 
     @property
     def ok(self) -> bool:
         """Every ordering check and every comparison row passes."""
-        return all(row[-1] for row in (*self.ordering_checks, *self.comparison_check))
+        return all(row[-1] for row in (*self.ordering_checks, *reduction_check()))
 
     def as_dict(self) -> dict:
         return {
@@ -288,11 +353,11 @@ class TradeoffReport(NamedTuple):
             },
             "paper_reference": {
                 "note": "published synthesis results, carried verbatim",
-                **self.paper._asdict(),
+                **PAPER_REFERENCE._asdict(),
             },
             "comparison_check": [
                 {"name": name, "recomputed": got, "printed": want, "pass": ok}
-                for name, got, want, ok in self.comparison_check
+                for name, got, want, ok in reduction_check()
             ],
         }
 
@@ -302,7 +367,7 @@ class TradeoffReport(NamedTuple):
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
     def render_text(self) -> str:
-        a, s, p = self.area, self.speed, self.paper
+        a, s, p, deltas = self.area, self.speed, PAPER_REFERENCE, self.deltas
         lines = [
             f"trade-off report for ncbps={self.cfg.n_cbps} d={self.cfg.d} s={self.cfg.s}",
             "",
@@ -316,10 +381,10 @@ class TradeoffReport(NamedTuple):
             f"  {'critical path depth':<28}{a.critical_path_depth:>10}{s.critical_path_depth:>10}",
             f"  {'fmax proxy (MHz)':<28}{a.fmax_proxy_mhz:>10.2f}{s.fmax_proxy_mhz:>10.2f}",
             "  deltas (speed vs area): "
-            + f"fmax {self.deltas['fmax_proxy_pct']:+.1f}%, "
-            + f"lut {self.deltas['lut_equiv_pct']:+.1f}%, "
-            + f"registers {self.deltas['register_count_delta']:+d}, "
-            + f"depth {self.deltas['critical_path_depth_delta']:+d}",
+            + f"fmax {deltas['fmax_proxy_pct']:+.1f}%, "
+            + f"lut {deltas['lut_equiv_pct']:+.1f}%, "
+            + f"registers {deltas['register_count_delta']:+d}, "
+            + f"depth {deltas['critical_path_depth_delta']:+d}",
             "",
             "paper_reference: published synthesis results (Spartan-3 XC3S400, PQ208)",
             f"  {'metric':<28}{'area':>10}{'speed':>10}",
@@ -336,7 +401,7 @@ class TradeoffReport(NamedTuple):
         lines += [
             f"  {name:<12} recomputed {got:+8.2f}  printed {want:+8.2f}  "
             f"{'PASS' if ok else 'FAIL'}"
-            for name, got, want, ok in self.comparison_check
+            for name, got, want, ok in reduction_check()
         ]
         return "\n".join(lines)
 
@@ -349,32 +414,13 @@ def _pct(new: float, old: float) -> float:
 def compare_variants(
     cfg: InterleaverConfig, unit_delay_ns: float = DEFAULT_UNIT_DELAY_NS
 ) -> TradeoffReport:
-    """Build and estimate both variants; attach published figures side by
-    side, and check the model orderings and the published comparison
-    arithmetic. All deltas are computed from the two estimates, never
-    entered by hand."""
-    area = estimate_cost(build_datapath(cfg, Variant.AREA), unit_delay_ns)
-    speed = estimate_cost(build_datapath(cfg, Variant.SPEED), unit_delay_ns)
-    deltas = {
-        "fmax_proxy_pct": _pct(speed.fmax_proxy_mhz, area.fmax_proxy_mhz),
-        "lut_equiv_pct": _pct(speed.lut_equiv, area.lut_equiv),
-        "register_count_delta": speed.register_count - area.register_count,
-        "critical_path_depth_delta": speed.critical_path_depth
-        - area.critical_path_depth,
-    }
-    ordering_checks = (
-        ("speed depth < area depth", speed.critical_path_depth < area.critical_path_depth),
-        ("speed registers = area registers + 1", speed.register_count == area.register_count + 1),
-    )
+    """Build and estimate both variants; the report derives its deltas and
+    checks from the two estimates, so none is entered by hand."""
     return TradeoffReport(
-        cfg=cfg,
-        area=area,
-        speed=speed,
-        paper=PAPER_REFERENCE,
-        deltas=deltas,
-        unit_delay_ns=unit_delay_ns,
-        ordering_checks=ordering_checks,
-        comparison_check=reduction_check(),
+        cfg,
+        estimate_cost(build_datapath(cfg, Variant.AREA), unit_delay_ns),
+        estimate_cost(build_datapath(cfg, Variant.SPEED), unit_delay_ns),
+        unit_delay_ns,
     )
 
 

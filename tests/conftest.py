@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 from wimax_il.config import InterleaverConfig
 
 # Acceptance set: every exhaustive criterion runs over these.
@@ -20,3 +23,17 @@ def all_valid_configs(max_n: int = 2048) -> list[InterleaverConfig]:
                 if (n // d) % s == 0:
                     out.append(InterleaverConfig(n, d, s))
     return out
+
+
+def loop_div_mul(func) -> list[str]:
+    """The names of the *, /, //, % and ** operators inside the one for loop
+    of func's source; the loop of generator.run must have none."""
+    tree = ast.parse(inspect.getsource(func))
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+    banned = (ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
+    return [
+        type(node.op).__name__
+        for node in ast.walk(loop)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, banned)
+    ]

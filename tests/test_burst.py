@@ -76,7 +76,6 @@ def assert_one_call_matches_brute_force(cfg, first, last):
     for (b, runs, gaps, worst), rows in zip(columns, want, strict=True):
         assert [(row[2], row[3]) for row in rows] == list(zip(runs, gaps)), (cfg, b)
         assert worst == max(row[2] for row in rows), (cfg, b)
-    assert result.worst_max_run_length == max(result.worst_runs)
 
 
 @SWEEP_CASES
@@ -209,14 +208,14 @@ def test_sweep_dispersal_guarantee_s1():
     for cfg in [CFG32, CFG192, InterleaverConfig(384, 16, 1), InterleaverConfig(144, 12, 1)]:
         for b in range(1, cfg.rows + 1):
             sweep = burst_sweep(cfg, b)
-            assert sweep.worst_max_run_length == 1, (cfg, b)
+            assert max(sweep.worst_runs) == 1, (cfg, b)
             assert len(sweep.reports) == cfg.n_cbps - b + 1
 
 
 def test_sweep_32_burst3_breaks_guarantee():
     # one past the row count: pairs separated by exactly n/d now fit inside
     sweep = burst_sweep(CFG32, 3)
-    assert sweep.worst_max_run_length == 2
+    assert max(sweep.worst_runs) == 2
 
 
 @pytest.mark.parametrize(
@@ -238,7 +237,7 @@ def test_sweep_32_burst3_breaks_guarantee():
 )
 def test_sweep_regression_values_s2_s3(cfg_triple, b, worst):
     cfg = InterleaverConfig(*cfg_triple)
-    assert burst_sweep(cfg, b).worst_max_run_length == worst
+    assert max(burst_sweep(cfg, b).worst_runs) == worst
 
 
 def test_sweep_rejects_bad_lengths():
@@ -281,6 +280,20 @@ def test_reports_carry_rs_flag():
     assert min(sweep.gaps[0]) >= CFG192.d - 1
 
 
+def assert_same_text(got, want):
+    """got == want for two texts or byte strings. A mismatch reports both
+    lengths and the first differing offset with 80 characters of context,
+    where a bare == would have pytest diff whole multi-MB reports."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(at - 40, 0)
+    raise AssertionError(
+        f"lengths {len(got)} and {len(want)}, first difference at offset {at}: "
+        f"{got[lo:at + 40]!r} != {want[lo:at + 40]!r}"
+    )
+
+
 @pytest.mark.parametrize(
     "cfg,max_b",
     [
@@ -312,14 +325,14 @@ def test_render_json_is_json_dumps_of_the_payload(cfg, max_b, tmp_path):
         "sweeps": sweeps,
     }
     text = "".join(burst.json_chunks(burst_sweep(cfg, 1, max_b)))
-    assert text == json.dumps(payload, indent=2) + "\n"
+    assert_same_text(text, json.dumps(payload, indent=2) + "\n")
 
     csv_path, json_path = tmp_path / "burst.csv", tmp_path / "burst.json"
     triple = ["--ncbps", str(cfg.n_cbps), "--d", str(cfg.d), "--s", str(cfg.s)]
     argv = ["burst", *triple, "--sweep-max", str(max_b),
             "--out", str(csv_path), "--json-out", str(json_path)]
     assert main(argv) == 0
-    assert json_path.read_bytes() == text.encode()
+    assert_same_text(json_path.read_bytes(), text.encode())
     header = [
         FORMAT_LINE,
         f"# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}",
@@ -327,7 +340,7 @@ def test_render_json_is_json_dumps_of_the_payload(cfg, max_b, tmp_path):
         f"# note: {RS_CRITERION_NOTE}",
     ]
     rows = [",".join(str(int(v)) for v in r.values()) for s in sweeps for r in s["reports"]]
-    assert csv_path.read_bytes() == "".join(f"{line}\n" for line in [*header, *rows]).encode()
+    assert_same_text(csv_path.read_bytes(), "".join(f"{line}\n" for line in [*header, *rows]).encode())
     if cfg == CFG32:  # b=1's spacing of 0, and uncorrectable rows, are covered
         flat = [r for sweep in sweeps for r in sweep["reports"]]
         assert any(r["min_spacing"] == 0 for r in flat)

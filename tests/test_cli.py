@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -441,6 +442,57 @@ def test_tradeoff_unit_delay_flag(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err, bad
         assert not out.exists(), bad
+
+
+# SHA-256 of `tradeoff` stdout without --out and of its --out JSON file, per
+# config and unit delay; the capture command is in tests/golden/README.md.
+TRADEOFF_DIGESTS = {
+    (("--preset", "qpsk"), "1.0"): (
+        "fb0020d2f537d9c4196e4e13b449a04a14b587c46f2c1a05f0b816995074fd59",
+        "4f62915f5706882d7df010616343bb38781fd2258acb1e18fb25ca924926f85e",
+    ),
+    (("--preset", "qpsk"), "2.5"): (
+        "621832c2e0340760cfdc0fd2ec83fc1e11e3f9ab5f938d9b4fcad1eb6790feda",
+        "11bcf5bc9c6f49d9660a630db3b018caf7ca4743ed7960ad7e73fbecf361dd23",
+    ),
+    (("--preset", "qam16"), "1.0"): (
+        "9b1f164f11eb7354004ac66d576f72bfdafd03dbdb6e456f8b9ab0daec8bb1fe",
+        "b96384674fae64c2045bc04e847254c2822b33506b821c71e8e44928cb75ddad",
+    ),
+    (("--preset", "qam16"), "2.5"): (
+        "999c168881b60fabd3dd70d691d40947442ea6de1175a0d0e4957952ff2f88ce",
+        "3d83795361aee3ae7c2a615eecacf04bf8f1d58a8a164f829fe7423cfdf8be13",
+    ),
+    (("--preset", "qam64"), "1.0"): (
+        "349beb471ae8859bd337bed07bd97f789fa20e03da48f273bdf20458a83e01e4",
+        "54020b500512656f22df8ab502b647ffaba42d2579c7a54ab89d6230844d4c7a",
+    ),
+    (("--preset", "qam64"), "2.5"): (
+        "dde9719b30f0f2f14ae3949cb11e21e7da216e96d290a3fd3b5ba9b1cb82f742",
+        "fb3d3c167b70afa3e8c27d29cb68eb15e48a762363936402e17f0e6c74f3159e",
+    ),
+    (("--ncbps", "2304", "--d", "16", "--s", "3"), "1.0"): (
+        "3f48548d275d30afad0f9af69e5c44c30d18dffa7952bc3586bca0fe174ac4b4",
+        "0a8beaf52adaff3a4c599e9f2ddb96eb4942eb62524247d27edbb64384fccd35",
+    ),
+    (("--ncbps", "2304", "--d", "16", "--s", "3"), "2.5"): (
+        "8fd00fabd00d04723d8b3793214837ce739df27f59bedf446d55107be236fe1f",
+        "b8399b66b894e80e9a36bbf96d2a28ba1dd2192cad8ee2e84a70b21f1e946d1a",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config,delay", TRADEOFF_DIGESTS, ids=lambda v: v if isinstance(v, str) else "_".join(v[1::2])
+)
+def test_tradeoff_report_matches_golden_digests(config, delay, tmp_path, capsys):
+    argv = ["tradeoff", *config, "--unit-delay-ns", delay]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "tradeoff.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    digests = (hashlib.sha256(text.encode()).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == TRADEOFF_DIGESTS[config, delay]
 
 
 def test_unknown_subcommand_exits_2():

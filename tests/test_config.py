@@ -1,12 +1,13 @@
+import numpy as np
 import pytest
 
 from wimax_il.config import (
     MAX_NCBPS,
-    PAPER_REFERENCE,
     PRESETS,
     InterleaverConfig,
     preset,
 )
+from wimax_il.cost_model import PAPER_REFERENCE
 from wimax_il.errors import DivisibilityError, RangeError
 
 
@@ -43,6 +44,24 @@ def test_validate_rejects_non_divisible_rows():
 def test_validate_rejects_out_of_range(n, d, s):
     with pytest.raises(RangeError):
         InterleaverConfig(n, d, s)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((192, 16.0, 1), "d"), ((192.0, 16, 1), "n_cbps"), ((192, 16, 1.0), "s"),
+        (("192", 16, 1), "n_cbps"), ((192, None, 1), "d"), ((192, 16, "1"), "s"),
+    ],
+)
+def test_validate_rejects_non_integers(args, name):
+    with pytest.raises(RangeError, match=f"^{name} must be an integer"):
+        InterleaverConfig(*args)
+
+
+def test_validate_stores_int_like_values_as_int():
+    cfg = InterleaverConfig(np.int64(192), np.int64(16), np.int64(1))
+    assert cfg == InterleaverConfig(192, 16, 1)
+    assert [type(v) for v in cfg] == [int, int, int]
 
 
 def test_config_is_immutable():

@@ -4,8 +4,10 @@ import pytest
 
 from wimax_il.config import InterleaverConfig
 from wimax_il.cost_model import (
+    PAPER_REFERENCE,
     DatapathGraph,
     NodeKind,
+    TradeoffReport,
     Variant,
     build_datapath,
     compare_variants,
@@ -146,8 +148,8 @@ def test_estimate_is_pure():
 
 def test_compare_variants_report():
     report = compare_variants(CFG192)
-    assert report.paper.area_fmax_mhz == 107.41
-    assert report.paper.power_mw == 56
+    assert PAPER_REFERENCE.area_fmax_mhz == 107.41
+    assert PAPER_REFERENCE.power_mw == 56
     assert report.deltas["fmax_proxy_pct"] > 0
     assert report.deltas["register_count_delta"] == 1
     # deltas must be recomputable from the embedded reports
@@ -155,6 +157,15 @@ def test_compare_variants_report():
         report.speed.fmax_proxy_mhz - report.area.fmax_proxy_mhz
     ) / report.area.fmax_proxy_mhz
     assert report.deltas["fmax_proxy_pct"] == pytest.approx(expected)
+
+
+def test_report_derives_everything_from_its_estimates():
+    report = compare_variants(CFG192)
+    assert TradeoffReport._fields == ("cfg", "area", "speed", "unit_delay_ns")
+    swapped = report._replace(area=report.speed, speed=report.area)
+    assert swapped.deltas["register_count_delta"] == -1
+    assert [ok for _, ok in swapped.ordering_checks] == [False, False]
+    assert report.ok and not swapped.ok
 
 
 def test_report_serialization_sections():
