@@ -1,8 +1,8 @@
 """Burst-error dispersal analysis for the deinterleaver, and its report.
 
-A channel burst marks b consecutive received positions erroneous. The
-deinterleave map is tabulated once per sweep; the burst starting at
-channel position start then lands on the original positions
+A channel burst marks b consecutive received positions erroneous. A sweep
+takes the deinterleave map dmap from build_table once; the burst starting
+at channel position start then lands on the original positions
 dmap[start:start + b]. window_stats scores the first length of each start
 from its sorted window, and each longer length is scored from the one
 before it (see burst_sweep). Runs of consecutive errors longer than
@@ -25,7 +25,9 @@ from typing import NamedTuple
 
 from .config import InterleaverConfig
 from .errors import RangeError
-from .reference import Direction, build_table, deinterleave_index
+# deinterleave_index is not called here: the benchmark's tracer patches
+# burst.deinterleave_index by name and counts its calls
+from .reference import Direction, build_table, deinterleave_index  # noqa: F401
 
 # Correction limit as reported for the WiMAX outer code: 8 consecutive
 # erroneous *bits*. This is the published simplification; RS(255,239)
@@ -99,7 +101,7 @@ class SweepResult(NamedTuple):
     def reports(self) -> tuple[tuple[int, int, int, int, bool], ...]:
         """Every report as a COLUMNS-ordered tuple, in CSV row order (by
         burst length, then start). Only the benchmark's tracer counts them;
-        this goes once it counts sum(map(len, runs)) (ROADMAP item 4)."""
+        this goes once it counts sum(map(len, runs)) (ROADMAP item 5)."""
         return tuple(chain.from_iterable(
             zip(range(len(runs)), repeat(b), runs, gaps, map(RS_MAX_CORRECTABLE_RUN.__ge__, runs))
             for b, runs, gaps in zip(self.lengths, self.runs, self.gaps)
@@ -164,7 +166,7 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
             f"burst lengths {b}..{last} on {n} bits score {positions} window "
             f"positions, more than the limit of {MAX_SWEEP_POSITIONS}"
         )
-    dmap = [deinterleave_index(cfg, j) for j in range(n)]
+    dmap = build_table(cfg, Direction.DEINTERLEAVE).map
     firsts = [window_stats(sorted(dmap[start:start + b])) for start in range(n - b + 1)]
     runs, gaps = [run for run, _ in firsts], [gap for _, gap in firsts]
     all_runs, all_gaps = [tuple(runs)], [tuple(gaps)]

@@ -128,7 +128,7 @@ def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
     cfg = _resolve_config(args)
     if (args.b is None) == (args.sweep_max is None):
         raise RangeError("give exactly one of --b and --sweep-max")
-    if args.out and args.json_out and os.path.realpath(args.out) == os.path.realpath(args.json_out):
+    if None not in (args.out, args.json_out) and os.path.realpath(args.out) == os.path.realpath(args.json_out):
         raise RangeError(f"--out and --json-out name the same file, {args.out}")
     if args.b is not None:
         result = burst.burst_sweep(cfg, args.b)
@@ -137,10 +137,10 @@ def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
     else:
         result = burst.burst_sweep(cfg, 1, args.sweep_max)
     lines = burst.summary_lines(result)
-    if args.out:
+    if args.out is not None:
         _write(args.out, burst.csv_chunks(result))
         lines.append(f"wrote CSV report to {args.out}")
-    if args.json_out:
+    if args.json_out is not None:
         _write(args.json_out, burst.json_chunks(result))
         lines.append(f"wrote JSON report to {args.json_out}")
     return 0, "\n".join(lines)
@@ -149,7 +149,7 @@ def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_tradeoff(args: argparse.Namespace) -> tuple[int, str]:
     report = compare_variants(_resolve_config(args), args.unit_delay_ns)
     lines = [report.render_text()]
-    if args.out:
+    if args.out is not None:
         _write(args.out, report.render_json())
         lines.append(f"wrote JSON report to {args.out}")
     return 0 if report.ok else 1, "\n".join(lines)

@@ -6,14 +6,17 @@ Two datapath variants of the counter scheme in generator.py are modeled:
          the three wide updates (the d*j remainder pair, the corrected
          residue u, and the output address), at the price of operand mux
          trees and a longer combinational chain;
-  speed  dedicated adders per accumulator and a pipeline register between
-         the correction stage and the output-address stage: one extra
-         register, shorter critical path.
+  speed  the loop of generator.run as a circuit, with dedicated adders per
+         accumulator and a two-register pipeline: pipe_u and pipe_q hold
+         u and q, and addr_out adds them one cycle later. Run from reset,
+         it emits the deinterleave map on cycles 1..n_cbps.
 
-The published circuit was optimized with synthesis directives, not a
-published micro-architecture, so both constructions here are modeling
-choices; every report labels them as structural estimates and carries the
-published synthesis figures separately. Absolute LUT counts are not
+The area variant does not run: its operand muxes have no select and
+nothing sequences its round robin, so it stays a structural sketch. The
+published circuit was optimized with synthesis directives, not a published
+micro-architecture, so both constructions here are modeling choices; every
+report labels them as structural estimates and carries the published
+synthesis figures separately. Absolute LUT counts are not
 claimed to match the published ones; only the orderings (speed uses one
 more register, area has the longer critical path) are asserted.
 
@@ -237,13 +240,13 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
 
     if variant is Variant.SPEED:
         _common_counters(g, "cmp_r")
-        # dedicated wide units; pipeline register after the corrected residue
+        # dedicated wide units; u and q are registered, and addr_out adds them
         g.add("r", NodeKind.REGISTER, "mux_r")
         g.add("q", NodeKind.REGISTER, "mux_q")
-        g.add("addr_out", NodeKind.REGISTER, "add_k")
+        g.add("pipe_q", NodeKind.REGISTER, "q")
         g.add("add_u", NodeKind.ADDER, "r", "mux_de")
         g.add("pipe_u", NodeKind.REGISTER, "add_u")
-        g.add("add_k", NodeKind.ADDER, "pipe_u", "q")
+        g.add("addr_out", NodeKind.ADDER, "pipe_u", "pipe_q")
 
         g.add("add_r", NodeKind.ADDER, "r", "const_d")
         g.add("sub_r", NodeKind.SUBTRACTOR, "add_r", "const_n")

@@ -20,8 +20,9 @@ Each step computes u = r + (dv_lo if s_phase >= tv else dv) and emits
 k = u + q. Because s divides the row count n_cbps/d, u always lands in
 [0, n_cbps) and q is exactly floor(d*m_j/n_cbps), so no further fix-up is
 needed; this is asserted in debug runs and pinned by the exhaustive
-oracle-equivalence tests against reference.build_table. Only input/output
-equivalence with the modeled circuit is claimed, not its internal wiring.
+oracle-equivalence tests against reference.build_table. The speed datapath
+graph in cost_model is this circuit, and its tests run it against the same
+oracle.
 
 Configuration-time constants (d, s, -d*s) are precomputed at reset;
 the per-step datapath never divides or multiplies.

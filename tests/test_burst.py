@@ -3,6 +3,7 @@ import json
 import textwrap
 import tracemalloc
 from functools import cache
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from wimax_il.burst import (
 from wimax_il.cli import main
 from wimax_il.config import InterleaverConfig, preset
 from wimax_il.errors import RangeError
-from wimax_il.reference import deinterleave_index, interleave_index
+from wimax_il.reference import Direction, build_table, deinterleave_index, interleave_index
 
 from conftest import all_valid_configs
 
@@ -118,7 +119,8 @@ def test_one_call_matches_brute_force_on_any_small_block(data):
 )
 def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first, last, monkeypatch):
     """Only the first length is scored from its window, whatever the last;
-    every longer length follows from the one before."""
+    every longer length follows from the one before. The map comes from
+    build_table, which calls no index function."""
     calls = {"window_stats": 0, "deinterleave_index": 0}
 
     def counted(name):
@@ -135,7 +137,7 @@ def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first,
     cfg = InterleaverConfig(*triple)
     result = burst_sweep(cfg, first, last)
     assert result.lengths == range(first, last + 1)
-    assert calls == {"window_stats": cfg.n_cbps - first + 1, "deinterleave_index": cfg.n_cbps}
+    assert calls == {"window_stats": cfg.n_cbps - first + 1, "deinterleave_index": 0}
 
 
 @pytest.mark.parametrize("cfg", all_valid_configs(1152), ids=lambda cfg: cfg.as_text())
@@ -260,9 +262,36 @@ def test_sweep_report_cap_counts_every_length(monkeypatch):
     def no_work(*args):
         raise AssertionError("the sweep started before the cap was checked")
 
-    monkeypatch.setattr(burst, "deinterleave_index", no_work)
+    monkeypatch.setattr(burst, "build_table", no_work)
     with pytest.raises(RangeError, match="make 122 reports, more than the limit of 93"):
         burst_sweep(CFG32, 1, 4)
+
+
+def test_column_period_law():
+    """Column c + s of the channel block is column c shifted by s original
+    positions: dmap[j + s*rows] == dmap[j] + s for every j < n_cbps - s*rows."""
+    for cfg in all_valid_configs(2304):
+        dmap = build_table(cfg, Direction.DEINTERLEAVE).map
+        assert set(map(sub, dmap[cfg.s * cfg.rows:], dmap)) == {cfg.s}, cfg
+
+
+# every config and depth the benchmark's sweep workload can draw
+SWEEP_WORKLOAD = [
+    (preset("qpsk"), 14), (preset("qam16"), 10), (preset("qam64"), 10),
+    *((InterleaverConfig(768, d, s), 10) for d, s in [(12, 1), (12, 2), (16, 1), (16, 2), (16, 3)]),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,last", SWEEP_WORKLOAD, ids=[f"{cfg.as_text()}-{last}" for cfg, last in SWEEP_WORKLOAD]
+)
+def test_sweep_repeats_with_the_column_period(cfg, last):
+    """Window stats are translation-invariant, so by the column period law
+    every length's runs and gaps repeat with period s*rows."""
+    result = burst_sweep(cfg, 1, last)
+    period = cfg.s * cfg.rows
+    for column in (*result.runs, *result.gaps):
+        assert column[period:] == column[:len(column) - period]
 
 
 def test_rs_correctable_thresholds():

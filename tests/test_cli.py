@@ -319,7 +319,7 @@ def test_burst_sweep_over_the_report_cap_exits_2_at_once(tmp_path, monkeypatch, 
     def no_work(*args):
         raise AssertionError("the sweep started before the cap was checked")
 
-    monkeypatch.setattr(burst, "deinterleave_index", no_work)
+    monkeypatch.setattr(burst, "build_table", no_work)
     csv_path, json_path = tmp_path / "burst.csv", tmp_path / "burst.json"
     for triple, depth in [(("65536", "16", "1"), "65536"), (("2304", "16", "3"), "117")]:
         code = main(
@@ -342,7 +342,7 @@ def test_burst_over_the_position_cap_exits_2_at_once(tmp_path, monkeypatch, caps
     def no_work(*args):
         raise AssertionError("the sweep started before the cap was checked")
 
-    monkeypatch.setattr(burst, "deinterleave_index", no_work)
+    monkeypatch.setattr(burst, "build_table", no_work)
     csv_path, json_path = tmp_path / "burst.csv", tmp_path / "burst.json"
     for n, b, positions in [(9216, 4608, 4608 * 4609), (65536, 32768, 32768 * 32769),
                             (9216, 1024, 1024 * 8193)]:
@@ -371,7 +371,7 @@ def test_burst_refuses_one_file_for_both_reports(tmp_path, monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("the sweep started before the paths were checked")
 
-    monkeypatch.setattr(burst, "deinterleave_index", no_work)
+    monkeypatch.setattr(burst, "build_table", no_work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     (tmp_path / "link.txt").symlink_to("r.txt")
@@ -384,6 +384,27 @@ def test_burst_refuses_one_file_for_both_reports(tmp_path, monkeypatch, capsys):
         assert captured.out == ""
         assert captured.err == f"error: --out and --json-out name the same file, {csv_name}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "sub"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--preset", "qpsk", "--out", ""],
+        ["burst", "--preset", "qpsk", "--b", "2", "--out", ""],
+        ["burst", "--preset", "qpsk", "--b", "2", "--json-out", ""],
+        ["tradeoff", "--preset", "qpsk", "--out", ""],
+    ],
+    ids=["gen-out", "burst-out", "burst-json-out", "tradeoff-out"],
+)
+def test_an_empty_output_path_is_refused(argv, tmp_path, monkeypatch, capsys):
+    """'' names no file: every output option passes it to the OS, which
+    refuses it, so the command exits 2 and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_burst_requires_exactly_one_mode():

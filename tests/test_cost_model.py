@@ -16,8 +16,9 @@ from wimax_il.cost_model import (
     width_bits,
 )
 from wimax_il.errors import CyclicGraph, RangeError
+from wimax_il.reference import Direction, build_table
 
-from conftest import ACCEPTANCE_CONFIGS
+from conftest import ACCEPTANCE_CONFIGS, all_valid_configs, speed_graph_addresses
 
 CFG192 = InterleaverConfig(192, 16, 1)
 
@@ -108,6 +109,15 @@ def test_q_mod_s_trackers_advance_only_on_r_wrap():
         got = (report.register_count, report.adder_count, report.comparator_count,
                report.mux_count, report.critical_path_depth)
         assert got == want, variant
+
+
+@pytest.mark.parametrize(
+    "cfg", sorted({*all_valid_configs(768), *ACCEPTANCE_CONFIGS}), ids=lambda cfg: cfg.as_text()
+)
+def test_speed_graph_is_the_counter_loop(cfg):
+    """Run from reset, the speed graph emits the deinterleave map on cycles
+    1..n_cbps: it is generator.run's circuit, u and q registered once."""
+    assert speed_graph_addresses(cfg) == list(build_table(cfg, Direction.DEINTERLEAVE).map)
 
 
 def test_node_count_is_config_independent():

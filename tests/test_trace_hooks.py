@@ -49,7 +49,7 @@ def test_traced_pass_reaches_every_layer(tmp_path, capsys):
         assert sorted(reference.apply_permutation(dtab, list(range(32)))) == list(range(32))
     recorded = {name for name, *_ in tracer.spans}
     assert recorded == {name for name, *_ in spans.LAYERS}
-    assert tracer.index_calls > 0
+    assert tracer.index_calls == 0
 
 
 def test_burst_sweep_is_one_traced_call_over_every_report(capsys):
@@ -62,7 +62,7 @@ def test_burst_sweep_is_one_traced_call_over_every_report(capsys):
         ) == 0
     sweeps = [work for name, *_, work in tracer.spans if name == "burst.burst_sweep"]
     assert sweeps == [32 + 31]
-    assert tracer.index_calls == 32
+    assert tracer.index_calls == 0
     # the columns count the same work, so the tracer can count them instead
     result = burst_sweep(InterleaverConfig(32, 16, 1), 1, 2)
     assert len(result.reports) == sum(map(len, result.runs)) == 32 + 31
