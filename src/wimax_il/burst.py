@@ -5,21 +5,26 @@ takes the deinterleave map dmap from build_table once; the burst starting
 at channel position start then lands on the original positions
 dmap[start:start + b]. window_stats scores the first length of each start
 from its sorted window, and each longer length is scored from the one
-before it (see burst_sweep). Runs of consecutive errors longer than
-RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
+before it (see burst_sweep). Column c + s of the channel block is column c
+shifted by s original positions, dmap[j + s*rows] == dmap[j] + s, and runs
+and gaps do not change under a shift, so every length's reports repeat with
+period s*rows over the starts: a sweep scores one period and tiles the
+rest. Runs of consecutive errors longer than RS_MAX_CORRECTABLE_RUN are
+treated as uncorrectable.
 
 The report is written here too: summary_lines for stdout, csv_chunks and
 json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
 names the per-start fields once, in order, for the CSV header, its rows
 and the JSON keys. A row after its start column depends only on b,
-max_run and min_spacing, so each block formats each of its distinct
-(max_run, min_spacing) tails once and joins them to start strings made
-once per report.
+max_run and min_spacing, and so repeats with the same period: each length
+formats the tails of its first period of rows once, each distinct
+(max_run, min_spacing) pair once, and joins them, cycled, to start strings
+made once per report.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, repeat
+from itertools import chain, cycle, islice, repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -59,11 +64,14 @@ BLOCK_ROWS = 4096
 # one command can ask for. It admits a sweep of burst lengths 1..116 on the
 # largest block in use (2304 bits), and of every length on up to 723 bits.
 MAX_SWEEP_REPORTS = 1 << 18
-# Most window positions one burst_sweep call may score: each start scores
-# the b positions of its first window, then one more per longer length, so
-# a call scores reports + (b - 1)(n_cbps - b + 1). From length 1 that is the
-# report count; it bounds one long burst length, which makes few reports.
-# It admits --b 8 on a MAX_NCBPS block (524,232 positions).
+# Most window positions one burst_sweep call may ask for, counted as if
+# every start were scored: b positions for each start's first window, then
+# one more per longer length, reports + (b - 1)(n_cbps - b + 1) in all. From
+# length 1 that is the report count; it bounds one long burst length, which
+# makes few reports. It admits --b 8 on a MAX_NCBPS block (524,232
+# positions). A call scores only one column period of them and tiles the
+# rest, but the bound is on the request, so that which commands are
+# admitted does not depend on how a sweep is computed.
 MAX_SWEEP_POSITIONS = 1 << 23
 
 
@@ -146,6 +154,17 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
     ms(s, L - 1), ms(s + 1, L - 1) and |dmap[s] - dmap[s + L - 1]|, and
     max_run(s, L) the greatest of mr(s, L - 1), mr(s + 1, L - 1) and
     spans[L][s], the longest run spanning exactly that window.
+
+    Column period: dmap[j + P] == dmap[j] + s for P = s*rows and j < n - P,
+    since position j = rows*c + p of column c holds bit d*r + c with
+    r = s*(p // s) + (p + c) % s, which c + s leaves unchanged. Window
+    stats do not change under a shift, so for every length L, runs[L] and
+    gaps[L] repeat with period P. A call therefore scores the first
+    min(n - b + 1, P + last - b) starts of length b (none for b = 1, whose
+    run is 1 and gap 0); each longer length L keeps one start fewer, at
+    least min(n - L + 1, P), and its first P entries are tiled over all
+    n - L + 1 starts. Spans are gathered only for the windows those starts
+    cover.
     """
     n = cfg.n_cbps
     last = b if last is None else last
@@ -167,21 +186,30 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
             f"positions, more than the limit of {MAX_SWEEP_POSITIONS}"
         )
     dmap = build_table(cfg, Direction.DEINTERLEAVE).map
-    firsts = [window_stats(sorted(dmap[start:start + b])) for start in range(n - b + 1)]
+    period = cfg.s * cfg.rows
+    # length L needs its first min(n - L + 1, period) starts to tile, and
+    # keeps one start fewer than L - 1; every scored window ends below end
+    scored = min(n - b + 1, period + last - b)
+    end = scored + b - 1
+    firsts = (
+        [window_stats(sorted(dmap[start:start + b])) for start in range(scored)]
+        if b > 1 else [(1, 0)] * scored  # a lone position: run 1, gap 0
+    )
     runs, gaps = [run for run, _ in firsts], [gap for _, gap in firsts]
-    all_runs, all_gaps = [tuple(runs)], [tuple(gaps)]
+    all_runs, all_gaps = [runs], [gaps]
     if b == 1:
-        gaps = [n] * n  # no pair yet: the first pair sets the gap
-    # spans[L][s] for b < L <= last: each run of original bits v, v + 1, ...
-    # grows one bit at a time until its channel positions span over last
+        gaps = [n] * scored  # no pair yet: the first pair sets the gap
+    # spans[L][s] for b < L <= last and s + L <= end: each run of original
+    # bits v, v + 1, ... grows one bit at a time until its channel positions
+    # span over last or reach end
     pos = build_table(cfg, Direction.INTERLEAVE).map  # the inverse of dmap
     spans: list[dict[int, int]] = [{} for _ in range(last + 1)]
-    for v in range(n - 1) if last > b else ():
+    for v in dmap[:end] if last > b else ():
         lo = hi = pos[v]
         for w, p in enumerate(pos[v + 1:v + last], 2):
             lo = p if p < lo else lo
             hi = p if p > hi else hi
-            if hi - lo >= last:
+            if hi - lo >= last or hi >= end:
                 break
             if hi - lo >= b and spans[hi - lo + 1].get(lo, 0) < w:
                 spans[hi - lo + 1][lo] = w
@@ -190,12 +218,16 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
         for start, run in spans[length].items():
             runs[start] = max(runs[start], run)
         gaps = [x if x < y else y for x, y in zip(gaps, gaps[1:])]
-        pairs = map(abs, map(sub, dmap, dmap[length - 1:]))  # |dmap[s] - dmap[s + L - 1]|
+        pairs = map(abs, map(sub, dmap, dmap[length - 1:end]))  # |dmap[s] - dmap[s + L - 1]|
         gaps = [x if x < y else y for x, y in zip(gaps, pairs)]
-        all_runs.append(tuple(runs))
-        all_gaps.append(tuple(gaps))
+        all_runs.append(runs)
+        all_gaps.append(gaps)
     lengths = range(b, last + 1)
-    return SweepResult(cfg, lengths, tuple(all_runs), tuple(all_gaps), tuple(map(max, all_runs)))
+    runs, gaps = (  # each length's first period of starts, tiled over all n - L + 1
+        tuple(tuple(islice(cycle(c[:period]), n - length + 1)) for length, c in zip(lengths, columns))
+        for columns in (all_runs, all_gaps)
+    )
+    return SweepResult(cfg, lengths, runs, gaps, tuple(map(max, all_runs)))
 
 
 def summary_lines(result: SweepResult) -> list[str]:
@@ -223,29 +255,32 @@ def _first_starts(cfg: InterleaverConfig) -> list[str]:
 
 
 def _rows(
-    b: int, runs: tuple, gaps: tuple, template: str, separator: str, flag: tuple, starts: list[str]
+    result: SweepResult, i: int, template: str, separator: str, flag: tuple, starts: list[str]
 ) -> Iterator[str]:
-    """The reports of length b in blocks of at most BLOCK_ROWS, each one
-    join of separator + head, start and tail per row. The template splits
-    at its start slot into the head and the tail; rs_correctable follows
-    from max_run, so a tail depends on (max_run, min_spacing) alone, and a
-    block formats each of its distinct pairs once: b baked in, then
-    max_run, min_spacing, flag[correctable]. starts holds the start strings
-    of the first block; later blocks format theirs. Every row but the
-    length's first begins with the separator, so that the blocks join to
-    the length's rows."""
+    """The reports of result's i-th swept length in blocks of at most
+    BLOCK_ROWS, each one join of separator + head, start and tail per row.
+    The template splits at its start slot into the head and the tail;
+    rs_correctable follows from max_run, so a tail depends on (max_run,
+    min_spacing) alone: b baked in, then max_run, min_spacing,
+    flag[correctable]. This relies on the sweep's column period: runs and
+    gaps repeat every s*rows starts (see burst_sweep), so the tails of the
+    first period of rows are formatted once, each distinct pair once, and
+    every block cycles them from its own offset lo mod period. starts holds
+    the start strings of the first block; later blocks format theirs. Every
+    row but the length's first begins with the separator, so that the
+    blocks join to the length's rows."""
+    b, runs, gaps = result.lengths[i], result.runs[i], result.gaps[i]
+    period = result.cfg.s * result.cfg.rows
     head, tail = template.split("%s", 1)
     tail = tail % (b, "%d", "%d", "%s")
+    first = list(zip(runs[:period], gaps[:period]))
+    tail_of = {pair: tail % (*pair, flag[pair[0] <= RS_MAX_CORRECTABLE_RUN]) for pair in set(first)}
+    tails = list(map(tail_of.__getitem__, first))
     for lo in range(0, len(runs), BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, len(runs))
-        block = runs[lo:hi], gaps[lo:hi]
-        tail_of = {
-            pair: tail % (*pair, flag[pair[0] <= RS_MAX_CORRECTABLE_RUN])
-            for pair in set(zip(*block))
-        }
         pieces = [separator + head, "", ""] * (hi - lo)
         pieces[1::3] = starts[:hi] if lo == 0 else map(str, range(lo, hi))
-        pieces[2::3] = map(tail_of.__getitem__, zip(*block))
+        pieces[2::3] = islice(cycle(tails), lo % period, hi - lo + lo % period)
         if lo == 0:
             pieces[0] = head
         yield "".join(pieces)
@@ -261,8 +296,8 @@ def csv_chunks(result: SweepResult) -> Iterator[str]:
         f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
     )
     starts = _first_starts(cfg)
-    for b, runs, gaps in zip(result.lengths, result.runs, result.gaps):
-        yield from _rows(b, runs, gaps, _CSV_ROW, "", (0, 1), starts)
+    for i in range(len(result.lengths)):
+        yield from _rows(result, i, _CSV_ROW, "", (0, 1), starts)
 
 
 def json_chunks(result: SweepResult) -> Iterator[str]:
@@ -282,11 +317,10 @@ def json_chunks(result: SweepResult) -> Iterator[str]:
     yield f'{header[:-2]},\n  "sweeps": [\n'
     separator = ""
     starts = _first_starts(result.cfg)
-    columns = zip(result.lengths, result.worst_runs, result.runs, result.gaps)
-    for b, worst, runs, gaps in columns:
+    for i, (b, worst) in enumerate(zip(result.lengths, result.worst_runs)):
         yield separator + _JSON_SWEEP % (b, worst)
         # apart from the sweep's frame, so that no block is copied
-        yield from _rows(b, runs, gaps, _JSON_REPORT, ",\n", _JSON_BOOL, starts)
+        yield from _rows(result, i, _JSON_REPORT, ",\n", _JSON_BOOL, starts)
         yield "\n      ]\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"

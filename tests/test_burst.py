@@ -105,6 +105,28 @@ def test_one_call_matches_brute_force_on_s2_s3_blocks(triple, first, last):
     assert_one_call_matches_brute_force(InterleaverConfig(*triple), first, last)
 
 
+@pytest.mark.parametrize(
+    "triple,first,last",
+    [
+        ((144, 12, 1), 20, 26),  # first > s*rows = 12
+        ((384, 16, 2), 50, 55),  # first > s*rows = 48
+        ((144, 12, 1), 138, 144),  # n - L + 1 < s*rows up to L = n
+        ((192, 16, 2), 180, 192),
+        ((96, 16, 1), 2, 20),  # last - first > s*rows = 6
+        ((192, 16, 3), 2, 45),  # last - first > s*rows = 36
+        ((192, 16, 1), 5, 20),  # s = 1: the period is rows
+        ((768, 16, 3), 1, 10),  # a block of the sweep benchmark
+    ],
+    ids=["first_past_period", "first_past_period_s2", "near_n", "near_n_s2",
+         "span_past_period", "span_past_period_s3", "s1", "768_16_3"],
+)
+def test_one_call_matches_brute_force_where_tiling_could_slip(triple, first, last):
+    """A sweep scores one column period of starts and tiles it: past the
+    period, where a length has fewer starts than the period, and where the
+    lengths span more than it."""
+    assert_one_call_matches_brute_force(InterleaverConfig(*triple), first, last)
+
+
 @settings(deadline=None, max_examples=25)  # the brute force is slow, not the sweep
 @given(data=st.data())
 def test_one_call_matches_brute_force_on_any_small_block(data):
@@ -118,9 +140,10 @@ def test_one_call_matches_brute_force_on_any_small_block(data):
     "triple,first,last", [((32, 16, 1), 1, 32), ((32, 16, 1), 5, 9), ((576, 16, 3), 1, 40)]
 )
 def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first, last, monkeypatch):
-    """Only the first length is scored from its window, whatever the last;
-    every longer length follows from the one before. The map comes from
-    build_table, which calls no index function."""
+    """Only the first length is scored from its window, whatever the last,
+    and only at the starts that one column period of every swept length
+    needs, none when it is 1; every longer length follows from the one
+    before. The map comes from build_table, which calls no index function."""
     calls = {"window_stats": 0, "deinterleave_index": 0}
 
     def counted(name):
@@ -137,7 +160,8 @@ def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first,
     cfg = InterleaverConfig(*triple)
     result = burst_sweep(cfg, first, last)
     assert result.lengths == range(first, last + 1)
-    assert calls == {"window_stats": cfg.n_cbps - first + 1, "deinterleave_index": 0}
+    scored = 0 if first == 1 else min(cfg.n_cbps - first + 1, cfg.s * cfg.rows + last - first)
+    assert calls == {"window_stats": scored, "deinterleave_index": 0}
 
 
 @pytest.mark.parametrize("cfg", all_valid_configs(1152), ids=lambda cfg: cfg.as_text())
@@ -458,6 +482,16 @@ def test_writers_match_a_naive_renderer(cfg, last, span, block_rows):
     assert "".join(json_parts) == naive_json(result)
     assert max(block.count("\n") for block in csv_blocks) <= block_rows
     assert max(part.count('"start"') for part in json_parts) <= block_rows
+
+
+def test_writers_match_a_naive_renderer_across_real_block_seams():
+    """On (9216,16,3) the column period, 1728 rows, does not divide
+    BLOCK_ROWS, so every later block of a length starts its tails part way
+    into the period."""
+    result = burst_sweep(InterleaverConfig(9216, 16, 3), 1, 3)
+    assert burst.BLOCK_ROWS % (3 * 9216 // 16) != 0
+    assert_same_text("".join(burst.csv_chunks(result)), naive_csv(result))
+    assert_same_text("".join(burst.json_chunks(result)), naive_json(result))
 
 
 def test_report_writers_peak_under_3_mb():

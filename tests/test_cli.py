@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wimax_il
 import wimax_il.cli
@@ -405,6 +410,44 @@ def test_an_empty_output_path_is_refused(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_burst_cli_contract_on_edge_values(data):
+    """burst exits 0 or 2 when up to three options of a valid argv take edge
+    values or are left out: an exit 2 prints nothing to stdout and, on
+    stderr, one error: line or argparse's usage; an exit 0 prints nothing to
+    stderr. Every report path drawn is one the OS refuses, so no file is
+    written."""
+    n, d, s = data.draw(st.sampled_from([(32, 16, 1), (192, 16, 1), (384, 16, 2), (768, 12, 2)]))
+    edges = [0, -1, 2 * d - 1, n, n + 1, MAX_NCBPS - 1, MAX_NCBPS + 1, 10**20]
+    mode = data.draw(st.sampled_from(["--b", "--sweep-max"]))
+    values = {"--ncbps": n, "--d": d, "--s": s, mode: n // d}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = ["", tmp, os.path.join(tmp, "missing", "report"), "/dev/full"]
+        options = ["--ncbps", "--d", "--s", "--b", "--sweep-max", "--out", "--json-out"]
+        for option in data.draw(st.sets(st.sampled_from(options), max_size=3)):
+            drawn = st.sampled_from(paths if option.endswith("out") else edges)
+            values[option] = data.draw(st.none() | drawn, label=option)
+        argv = ["burst"]
+        for option, value in values.items():
+            argv += [] if value is None else [option, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the argv
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out == "", argv
+        one_error = err.startswith("error: ") and err.count("\n") == 1
+        usage = err.startswith("usage: wimax-il burst ") and "wimax-il burst: error: " in err
+        assert one_error or usage, (argv, err)
+    else:
+        assert err == "", argv
 
 
 def test_burst_requires_exactly_one_mode():
