@@ -8,18 +8,17 @@ from its sorted window, and each longer length is scored from the one
 before it (see burst_sweep). Column c + s of the channel block is column c
 shifted by s original positions, dmap[j + s*rows] == dmap[j] + s, and runs
 and gaps do not change under a shift, so every length's reports repeat with
-period s*rows over the starts: a sweep scores one period and tiles the
-rest. Runs of consecutive errors longer than RS_MAX_CORRECTABLE_RUN are
-treated as uncorrectable.
+period s*rows over the starts: a sweep scores one period, and its result
+holds that period alone. Runs of consecutive errors longer than
+RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
 
 The report is written here too: summary_lines for stdout, csv_chunks and
 json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
 names the per-start fields once, in order, for the CSV header, its rows
 and the JSON keys. A row after its start column depends only on b,
-max_run and min_spacing, and so repeats with the same period: each length
-formats the tails of its first period of rows once, each distinct
-(max_run, min_spacing) pair once, and joins them, cycled, to start strings
-made once per report.
+max_run and min_spacing: each length formats the tails of its column once,
+each distinct (max_run, min_spacing) pair once, and joins them, cycled over
+every start, to start strings made once per report.
 """
 from __future__ import annotations
 
@@ -69,9 +68,9 @@ MAX_SWEEP_REPORTS = 1 << 18
 # one more per longer length, reports + (b - 1)(n_cbps - b + 1) in all. From
 # length 1 that is the report count; it bounds one long burst length, which
 # makes few reports. It admits --b 8 on a MAX_NCBPS block (524,232
-# positions). A call scores only one column period of them and tiles the
-# rest, but the bound is on the request, so that which commands are
-# admitted does not depend on how a sweep is computed.
+# positions). A call scores only one column period of them, but the bound
+# is on the request, so that which commands are admitted does not depend
+# on how a sweep is computed.
 MAX_SWEEP_POSITIONS = 1 << 23
 
 
@@ -97,7 +96,10 @@ def window_stats(ordered: list[int]) -> tuple[int, int]:
 
 class SweepResult(NamedTuple):
     """Every report of one burst_sweep call as columns: per swept length b,
-    max_run_length and min_pairwise_spacing by start, and the worst run."""
+    max_run_length and min_pairwise_spacing by start over one column period,
+    the first min(s*rows, n_cbps - b + 1) starts, and the worst run. The
+    report of any start is the column cycled: start j reads entry
+    j % len(column) (see burst_sweep)."""
 
     cfg: InterleaverConfig
     lengths: range
@@ -108,10 +110,13 @@ class SweepResult(NamedTuple):
     @property
     def reports(self) -> tuple[tuple[int, int, int, int, bool], ...]:
         """Every report as a COLUMNS-ordered tuple, in CSV row order (by
-        burst length, then start). Only the benchmark's tracer counts them;
-        this goes once it counts sum(map(len, runs)) (ROADMAP item 5)."""
+        burst length, then start), each column cycled over all n_cbps - b + 1
+        starts. Only the benchmark's tracer counts them; this goes once it
+        counts sum(n_cbps - b + 1) over the lengths (ROADMAP item 5)."""
+        n = self.cfg.n_cbps
         return tuple(chain.from_iterable(
-            zip(range(len(runs)), repeat(b), runs, gaps, map(RS_MAX_CORRECTABLE_RUN.__ge__, runs))
+            zip(range(n - b + 1), repeat(b), cycle(runs), cycle(gaps),
+                map(RS_MAX_CORRECTABLE_RUN.__ge__, cycle(runs)))
             for b, runs, gaps in zip(self.lengths, self.runs, self.gaps)
         ))
 
@@ -162,9 +167,9 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
     gaps[L] repeat with period P. A call therefore scores the first
     min(n - b + 1, P + last - b) starts of length b (none for b = 1, whose
     run is 1 and gap 0); each longer length L keeps one start fewer, at
-    least min(n - L + 1, P), and its first P entries are tiled over all
-    n - L + 1 starts. Spans are gathered only for the windows those starts
-    cover.
+    least min(n - L + 1, P), and the result holds its first
+    min(P, n - L + 1) entries: the report of start j is entry j % P. Spans
+    are gathered only for the windows those starts cover.
     """
     n = cfg.n_cbps
     last = b if last is None else last
@@ -187,8 +192,8 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
         )
     dmap = build_table(cfg, Direction.DEINTERLEAVE).map
     period = cfg.s * cfg.rows
-    # length L needs its first min(n - L + 1, period) starts to tile, and
-    # keeps one start fewer than L - 1; every scored window ends below end
+    # length L needs its first min(n - L + 1, period) starts, and keeps one
+    # start fewer than L - 1; every scored window ends below end
     scored = min(n - b + 1, period + last - b)
     end = scored + b - 1
     firsts = (
@@ -222,12 +227,8 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
         gaps = [x if x < y else y for x, y in zip(gaps, pairs)]
         all_runs.append(runs)
         all_gaps.append(gaps)
-    lengths = range(b, last + 1)
-    runs, gaps = (  # each length's first period of starts, tiled over all n - L + 1
-        tuple(tuple(islice(cycle(c[:period]), n - length + 1)) for length, c in zip(lengths, columns))
-        for columns in (all_runs, all_gaps)
-    )
-    return SweepResult(cfg, lengths, runs, gaps, tuple(map(max, all_runs)))
+    runs, gaps = (tuple(tuple(c[:period]) for c in columns) for columns in (all_runs, all_gaps))
+    return SweepResult(cfg, range(b, last + 1), runs, gaps, tuple(map(max, all_runs)))
 
 
 def summary_lines(result: SweepResult) -> list[str]:
@@ -262,25 +263,24 @@ def _rows(
     The template splits at its start slot into the head and the tail;
     rs_correctable follows from max_run, so a tail depends on (max_run,
     min_spacing) alone: b baked in, then max_run, min_spacing,
-    flag[correctable]. This relies on the sweep's column period: runs and
-    gaps repeat every s*rows starts (see burst_sweep), so the tails of the
-    first period of rows are formatted once, each distinct pair once, and
-    every block cycles them from its own offset lo mod period. starts holds
+    flag[correctable]. The tails of the column's rows are formatted once,
+    each distinct pair once, and every block cycles them from its own
+    offset lo mod len(column), over all n_cbps - b + 1 starts. starts holds
     the start strings of the first block; later blocks format theirs. Every
     row but the length's first begins with the separator, so that the
     blocks join to the length's rows."""
     b, runs, gaps = result.lengths[i], result.runs[i], result.gaps[i]
-    period = result.cfg.s * result.cfg.rows
+    count = result.cfg.n_cbps - b + 1
     head, tail = template.split("%s", 1)
     tail = tail % (b, "%d", "%d", "%s")
-    first = list(zip(runs[:period], gaps[:period]))
-    tail_of = {pair: tail % (*pair, flag[pair[0] <= RS_MAX_CORRECTABLE_RUN]) for pair in set(first)}
-    tails = list(map(tail_of.__getitem__, first))
-    for lo in range(0, len(runs), BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, len(runs))
+    pairs = list(zip(runs, gaps))
+    tail_of = {pair: tail % (*pair, flag[pair[0] <= RS_MAX_CORRECTABLE_RUN]) for pair in set(pairs)}
+    tails = list(map(tail_of.__getitem__, pairs))
+    for lo in range(0, count, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, count)
         pieces = [separator + head, "", ""] * (hi - lo)
         pieces[1::3] = starts[:hi] if lo == 0 else map(str, range(lo, hi))
-        pieces[2::3] = islice(cycle(tails), lo % period, hi - lo + lo % period)
+        pieces[2::3] = islice(cycle(tails), lo % len(tails), hi - lo + lo % len(tails))
         if lo == 0:
             pieces[0] = head
         yield "".join(pieces)

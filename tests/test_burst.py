@@ -75,7 +75,9 @@ def assert_one_call_matches_brute_force(cfg, first, last):
     assert list(result.reports) == [row for rows in want for row in rows]
     columns = zip(result.lengths, result.runs, result.gaps, result.worst_runs, strict=True)
     for (b, runs, gaps, worst), rows in zip(columns, want, strict=True):
-        assert [(row[2], row[3]) for row in rows] == list(zip(runs, gaps)), (cfg, b)
+        scored = min(cfg.s * cfg.rows, cfg.n_cbps - b + 1)  # one column period
+        assert len(runs) == len(gaps) == scored, (cfg, b)
+        assert [(row[2], row[3]) for row in rows[:scored]] == list(zip(runs, gaps)), (cfg, b)
         assert worst == max(row[2] for row in rows), (cfg, b)
 
 
@@ -121,9 +123,9 @@ def test_one_call_matches_brute_force_on_s2_s3_blocks(triple, first, last):
          "span_past_period", "span_past_period_s3", "s1", "768_16_3"],
 )
 def test_one_call_matches_brute_force_where_tiling_could_slip(triple, first, last):
-    """A sweep scores one column period of starts and tiles it: past the
-    period, where a length has fewer starts than the period, and where the
-    lengths span more than it."""
+    """A sweep scores one column period of starts, and every start's report
+    cycles it: past the period, where a length has fewer starts than the
+    period, and where the lengths span more than it."""
     assert_one_call_matches_brute_force(InterleaverConfig(*triple), first, last)
 
 
@@ -311,11 +313,26 @@ SWEEP_WORKLOAD = [
 )
 def test_sweep_repeats_with_the_column_period(cfg, last):
     """Window stats are translation-invariant, so by the column period law
-    every length's runs and gaps repeat with period s*rows."""
-    result = burst_sweep(cfg, 1, last)
+    every length's window stats repeat with period s*rows over the starts:
+    what lets a sweep hold one period of them."""
+    dmap = build_table(cfg, Direction.DEINTERLEAVE).map
     period = cfg.s * cfg.rows
-    for column in (*result.runs, *result.gaps):
-        assert column[period:] == column[:len(column) - period]
+    for length in range(1, last + 1):
+        stats = [window_stats(sorted(dmap[st:st + length])) for st in range(cfg.n_cbps - length + 1)]
+        assert stats[period:] == stats[:len(stats) - period], length
+
+
+@pytest.mark.parametrize(
+    "triple,first,last,held",
+    [((2304, 16, 3), 1, 116, 432), ((65536, 16, 1), 128, 128, 4096)],
+    ids=["largest_admitted_sweep", "max_ncbps"],
+)
+def test_a_sweep_holds_one_column_period_per_length(triple, first, last, held):
+    """Each column holds one period, s*rows entries, not one per start
+    (2304 - L + 1 and 65,409), so a sweep's result does not grow with the
+    block."""
+    result = burst_sweep(InterleaverConfig(*triple), first, last)
+    assert {len(column) for column in (*result.runs, *result.gaps)} == {held}
 
 
 def test_rs_correctable_thresholds():
@@ -421,15 +438,6 @@ def test_report_writers_hold_one_block_of_rows_at_a_time():
     assert len(list(burst.csv_chunks(sweep))) == 1 + 3
 
 
-def naive_reports(result):
-    """Every report of a sweep as a COLUMNS-ordered tuple, read off its columns."""
-    return [
-        (start, b, run, gap, run <= RS_MAX_CORRECTABLE_RUN)
-        for b, runs, gaps in zip(result.lengths, result.runs, result.gaps)
-        for start, (run, gap) in enumerate(zip(runs, gaps))
-    ]
-
-
 def naive_csv(result):
     cfg = result.cfg
     text = (
@@ -437,12 +445,14 @@ def naive_csv(result):
         f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
     )
     return text + "".join(
-        f"{start},{b},{run},{gap},{int(ok)}\n" for start, b, run, gap, ok in naive_reports(result)
+        f"{start},{b},{run},{gap},{int(ok)}\n" for start, b, run, gap, ok in result.reports
     )
 
 
 def naive_json(result):
-    reports = naive_reports(result)
+    # result.reports: every report, pinned to the brute force by
+    # assert_one_call_matches_brute_force
+    reports = result.reports
     payload = {
         "config": result.cfg.as_dict(),
         "rs_criterion_note": RS_CRITERION_NOTE,

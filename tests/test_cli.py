@@ -17,9 +17,9 @@ import wimax_il
 import wimax_il.cli
 from wimax_il import burst, cost_model, generator
 from wimax_il.cli import build_parser, main
-from wimax_il.config import MAX_NCBPS
-from wimax_il.reference import Direction
-from wimax_il.tablefile import MAX_TABLE_CHARS, read_table
+from wimax_il.config import MAX_NCBPS, InterleaverConfig
+from wimax_il.reference import Direction, build_table
+from wimax_il.tablefile import MAX_TABLE_CHARS, read_table, serialize_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -412,6 +412,27 @@ def test_an_empty_output_path_is_refused(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def assert_cli_contract(argv, codes):
+    """main(argv) exits with one of codes: an exit 2 prints nothing to
+    stdout and, on stderr, one error: line or argparse's usage; exits 0 and
+    1 print nothing to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in codes, argv
+    if code == 2:
+        assert out == "", argv
+        one_error = err.startswith("error: ") and err.count("\n") == 1
+        usage = err.startswith(f"usage: wimax-il {argv[0]} ") and f"wimax-il {argv[0]}: error: " in err
+        assert one_error or usage, (argv, err)
+    else:
+        assert err == "", argv
+
+
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_burst_cli_contract_on_edge_values(data):
@@ -433,21 +454,59 @@ def test_burst_cli_contract_on_edge_values(data):
         argv = ["burst"]
         for option, value in values.items():
             argv += [] if value is None else [option, str(value)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refused the argv
-                code = exc.code
-    out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2), argv
-    if code == 2:
-        assert out == "", argv
-        one_error = err.startswith("error: ") and err.count("\n") == 1
-        usage = err.startswith("usage: wimax-il burst ") and "wimax-il burst: error: " in err
-        assert one_error or usage, (argv, err)
-    else:
-        assert err == "", argv
+        assert_cli_contract(argv, (0, 2))
+
+
+def table_files(tmp, cfg):
+    """A valid deinterleave table file of cfg and its mutations, by name:
+    truncated, duplicated, empty, NUL-filled and with a bad first line."""
+    text = serialize_table(build_table(cfg, Direction.DEINTERLEAVE)).encode()
+    contents = {
+        "valid": text,
+        "truncated": text[:len(text) // 2],
+        "duplicated": text + text,
+        "empty": b"",
+        "nul": b"\0" * len(text),
+        "bad_header": b"# not an address table\n" + text.split(b"\n", 1)[1],
+    }
+    for name, content in contents.items():
+        Path(tmp, name).write_bytes(content)
+    return [os.path.join(tmp, name) for name in contents]
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_gen_verify_tradeoff_cli_contract_on_edge_values(data):
+    """gen, verify and tradeoff exit 0, 1 or 2 (gen never 1) when up to three
+    options of a valid argv take edge values or are left out, under the
+    contract of assert_cli_contract. verify starts from a config or from a
+    table file, valid or damaged. Output paths are ones the OS refuses."""
+    command = data.draw(st.sampled_from(["gen", "verify", "tradeoff"]))
+    n, d, s = data.draw(st.sampled_from([(32, 16, 1), (192, 16, 1), (384, 16, 2), (768, 12, 2)]))
+    edges = [0, -1, 2 * d - 1, n, n + 1, MAX_NCBPS - 1, MAX_NCBPS + 1, 10**20]
+    delays = ["nan", "inf", "-inf", -1, 0, 1e-300, 0.001, 1000.0, 1000.0001]
+    values = {"--ncbps": n, "--d": d, "--s": s}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = ["", tmp, os.path.join(tmp, "missing", "out"), "/dev/full"]
+        drawn = {"--ncbps": edges, "--d": edges, "--s": edges}
+        if command == "gen":
+            drawn |= {"--out": paths, "--engine": ["reference", "incremental"],
+                      "--dir": [direction.value for direction in Direction]}
+        elif command == "verify":
+            tables = table_files(tmp, InterleaverConfig(n, d, s))
+            drawn |= {"--table": tables, "--all-presets": [True]}
+            if data.draw(st.booleans(), label="verify a table file"):
+                values = {"--table": data.draw(st.sampled_from(tables))}
+        else:
+            drawn |= {"--out": paths, "--unit-delay-ns": delays}
+        for option in data.draw(st.sets(st.sampled_from(sorted(drawn)), max_size=3)):
+            values[option] = data.draw(st.none() | st.sampled_from(drawn[option]), label=option)
+        # option=value, so that argparse passes values such as -1 and -inf on
+        argv = [command]
+        for option, value in values.items():
+            if value is not None:
+                argv.append(option if option == "--all-presets" else f"{option}={value}")
+        assert_cli_contract(argv, (0, 2) if command == "gen" else (0, 1, 2))
 
 
 def test_burst_requires_exactly_one_mode():

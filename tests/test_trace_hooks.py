@@ -63,6 +63,6 @@ def test_burst_sweep_is_one_traced_call_over_every_report(capsys):
     sweeps = [work for name, *_, work in tracer.spans if name == "burst.burst_sweep"]
     assert sweeps == [32 + 31]
     assert tracer.index_calls == 0
-    # the columns count the same work, so the tracer can count them instead
+    # the swept lengths count the same work, so the tracer can count them instead
     result = burst_sweep(InterleaverConfig(32, 16, 1), 1, 2)
-    assert len(result.reports) == sum(map(len, result.runs)) == 32 + 31
+    assert len(result.reports) == sum(result.cfg.n_cbps - b + 1 for b in result.lengths) == 32 + 31
