@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from collections.abc import Iterable
 from functools import cache
@@ -21,9 +22,23 @@ from .tablefile import read_table, serialize_table
 
 
 def _write(path: str, text: str | Iterable[str]) -> None:
-    """Write a text, or its chunks one at a time, to path."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    """Write a text, or its chunks one at a time, to path.
+
+    An existing file is overwritten in place and then cut to the new length,
+    not truncated first: truncating frees the file's blocks only to allocate
+    them again. If a write fails, the file is cut at what was written before
+    the error goes on, so it holds a prefix of the new text and no byte of
+    the old file. Targets other than regular files (/dev/null, a FIFO) are
+    never cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh.writelines([text] if isinstance(text, str) else text)
+            fh.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def compare_variants(cfg: InterleaverConfig, unit_delay_ns: float):

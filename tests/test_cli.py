@@ -412,6 +412,36 @@ def test_an_empty_output_path_is_refused(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen", "--out", "table.csv"],
+        ["burst", "--sweep-max", "10", "--out", "burst.csv", "--json-out", "burst.json"],
+        ["tradeoff", "--out", "tradeoff.json"],
+    ],
+    ids=["gen", "burst", "tradeoff"],
+)
+def test_a_rerun_over_larger_files_leaves_the_bytes_of_a_fresh_run(command, tmp_path, monkeypatch, capsys):
+    """A command re-run into the files of a 768-bit block's run, with the
+    192-bit block, leaves the bytes it writes to fresh paths. The reports
+    shrink; the trade-off report changes only in digits of equal length."""
+    names = [arg for arg in command if "." in arg]
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    rerun.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(rerun)
+    assert main([*command, "--ncbps", "768", "--d", "16", "--s", "2"]) == 0
+    larger = [(rerun / name).read_bytes() for name in names]
+    for where in (rerun, fresh):
+        monkeypatch.chdir(where)
+        assert main([*command, "--ncbps", "192", "--d", "16", "--s", "1"]) == 0
+    capsys.readouterr()
+    for name, old in zip(names, larger):
+        new = (fresh / name).read_bytes()
+        assert (rerun / name).read_bytes() == new
+        assert new != old and len(new) <= len(old)
+
+
 def assert_cli_contract(argv, codes):
     """main(argv) exits with one of codes: an exit 2 prints nothing to
     stdout and, on stderr, one error: line or argparse's usage; exits 0 and

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -175,3 +176,57 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     _write(str(path), serialize_table(table))
     assert read_table(str(path)) == table
+
+
+def test_write_overwrites_an_existing_file_in_place(tmp_path):
+    """_write does not truncate an existing file before it writes: while the
+    chunks stream in, the file keeps its old size, and only the end of the
+    write cuts it to the new length."""
+    path = tmp_path / "report.csv"
+    path.write_text("old\n" * 5000)
+    seen = []
+
+    def chunks():
+        yield "new\n"
+        seen.append(os.path.getsize(path))
+        yield "tail\n"
+
+    _write(str(path), chunks())
+    assert seen == [20000]
+    assert path.read_bytes() == b"new\ntail\n"
+
+
+@pytest.mark.parametrize(
+    "old_size", [8000, 4000, 10, 0], ids=["over-longer", "over-equal", "over-shorter", "over-empty"]
+)
+@pytest.mark.parametrize("chunked", [False, True], ids=["text", "chunks"])
+def test_write_leaves_exactly_the_new_bytes(tmp_path, old_size, chunked):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"x" * old_size)
+    text = "1,2\n" * 1000
+    _write(str(path), [text[:1000], text[1000:]] if chunked else text)
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("first", [5, 100_000], ids=["buffered", "written-through"])
+def test_a_failed_write_leaves_a_prefix_of_the_new_text_only(tmp_path, first):
+    """A chunk iterator that fails after its first chunk leaves that chunk
+    and no byte of the longer file it was written over."""
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * 200_000)
+
+    def chunks():
+        yield "a" * first
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _write(str(path), chunks())
+    assert path.read_bytes() == b"a" * first
+
+
+def test_write_never_cuts_a_target_that_is_not_a_regular_file(monkeypatch):
+    def no_cut(*args):
+        raise AssertionError("a non-regular target was cut")
+
+    monkeypatch.setattr(os, "ftruncate", no_cut)
+    _write(os.devnull, ["some", " text\n"])
