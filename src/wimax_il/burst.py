@@ -5,11 +5,9 @@ takes the deinterleave map dmap from build_table once; the burst starting
 at channel position start then lands on the original positions
 dmap[start:start + b]. window_stats scores the first length of each start
 from its sorted window, and each longer length is scored from the one
-before it (see burst_sweep). Column c + s of the channel block is column c
-shifted by s original positions, dmap[j + s*rows] == dmap[j] + s, and runs
-and gaps do not change under a shift, so every length's reports repeat with
-period s*rows over the starts: a sweep scores one period, and its result
-holds that period alone. Runs of consecutive errors longer than
+before it. Every length's reports repeat over the starts with the column
+period s*rows (proved in burst_sweep): a sweep scores one period, and its
+result holds that period alone. Runs of consecutive errors longer than
 RS_MAX_CORRECTABLE_RUN are treated as uncorrectable.
 
 The report is written here too: summary_lines for stdout, csv_chunks and
@@ -18,11 +16,12 @@ names the per-start fields once, in order, for the CSV header, its rows
 and the JSON keys. A row after its start column depends only on b,
 max_run and min_spacing: each length formats the tails of its column once,
 each distinct (max_run, min_spacing) pair once, and joins them, cycled over
-every start, to start strings made once per report.
+every start, to start strings made once for both reports.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import chain, cycle, islice, repeat
 from operator import sub
 from typing import NamedTuple
@@ -250,14 +249,14 @@ def summary_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-def _first_starts(cfg: InterleaverConfig) -> list[str]:
-    """The start column of a report's first block, shared by every length."""
-    return list(map(str, range(min(cfg.n_cbps, BLOCK_ROWS))))
+@lru_cache(maxsize=1)
+def _first_starts(count: int) -> tuple[str, ...]:
+    """The start column of a first block of count rows, made once and
+    shared by every length and by both reports of a command."""
+    return tuple(map(str, range(count)))
 
 
-def _rows(
-    result: SweepResult, i: int, template: str, separator: str, flag: tuple, starts: list[str]
-) -> Iterator[str]:
+def _rows(result: SweepResult, i: int, template: str, separator: str, flag: tuple) -> Iterator[str]:
     """The reports of result's i-th swept length in blocks of at most
     BLOCK_ROWS, each one join of separator + head, start and tail per row.
     The template splits at its start slot into the head and the tail;
@@ -265,12 +264,13 @@ def _rows(
     min_spacing) alone: b baked in, then max_run, min_spacing,
     flag[correctable]. The tails of the column's rows are formatted once,
     each distinct pair once, and every block cycles them from its own
-    offset lo mod len(column), over all n_cbps - b + 1 starts. starts holds
-    the start strings of the first block; later blocks format theirs. Every
-    row but the length's first begins with the separator, so that the
-    blocks join to the length's rows."""
+    offset lo mod len(column), over all n_cbps - b + 1 starts. The first
+    block takes its start strings from _first_starts; later blocks format
+    theirs. Every row but the length's first begins with the separator, so
+    that the blocks join to the length's rows."""
     b, runs, gaps = result.lengths[i], result.runs[i], result.gaps[i]
     count = result.cfg.n_cbps - b + 1
+    starts = _first_starts(min(result.cfg.n_cbps, BLOCK_ROWS))
     head, tail = template.split("%s", 1)
     tail = tail % (b, "%d", "%d", "%s")
     pairs = list(zip(runs, gaps))
@@ -295,9 +295,8 @@ def csv_chunks(result: SweepResult) -> Iterator[str]:
         f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
         f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
     )
-    starts = _first_starts(cfg)
     for i in range(len(result.lengths)):
-        yield from _rows(result, i, _CSV_ROW, "", (0, 1), starts)
+        yield from _rows(result, i, _CSV_ROW, "", (0, 1))
 
 
 def json_chunks(result: SweepResult) -> Iterator[str]:
@@ -316,11 +315,10 @@ def json_chunks(result: SweepResult) -> Iterator[str]:
     # header[:-2] drops the closing "\n}" so that "sweeps" joins the object
     yield f'{header[:-2]},\n  "sweeps": [\n'
     separator = ""
-    starts = _first_starts(result.cfg)
     for i, (b, worst) in enumerate(zip(result.lengths, result.worst_runs)):
         yield separator + _JSON_SWEEP % (b, worst)
         # apart from the sweep's frame, so that no block is copied
-        yield from _rows(result, i, _JSON_REPORT, ",\n", _JSON_BOOL, starts)
+        yield from _rows(result, i, _JSON_REPORT, ",\n", _JSON_BOOL)
         yield "\n      ]\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"

@@ -41,6 +41,14 @@ def _write(path: str, text: str | Iterable[str]) -> None:
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: by device and inode when both exist,
+    so that hard links match too, and otherwise by their resolved paths."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def compare_variants(cfg: InterleaverConfig, unit_delay_ns: float):
     """cost_model.compare_variants, imported on the first trade-off report."""
     from .cost_model import compare_variants
@@ -143,7 +151,7 @@ def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
     cfg = _resolve_config(args)
     if (args.b is None) == (args.sweep_max is None):
         raise RangeError("give exactly one of --b and --sweep-max")
-    if None not in (args.out, args.json_out) and os.path.realpath(args.out) == os.path.realpath(args.json_out):
+    if None not in (args.out, args.json_out) and _same_file(args.out, args.json_out):
         raise RangeError(f"--out and --json-out name the same file, {args.out}")
     if args.b is not None:
         result = burst.burst_sweep(cfg, args.b)

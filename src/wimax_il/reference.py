@@ -30,13 +30,6 @@ class Direction(str, enum.Enum):
     INTERLEAVE = "interleave"
     DEINTERLEAVE = "deinterleave"
 
-    def flipped(self) -> "Direction":
-        return (
-            Direction.DEINTERLEAVE
-            if self is Direction.INTERLEAVE
-            else Direction.INTERLEAVE
-        )
-
 
 def interleave_index(cfg: InterleaverConfig, k: int) -> int:
     """Channel position j_k of coded bit k."""
@@ -63,8 +56,8 @@ class _Table(NamedTuple):
 
 
 class AddressTable(_Table):
-    """A full permutation of [0, n_cbps): map[i] is the output index of
-    input index i. Tables apply write-side (see apply_permutation).
+    """map[i] is the output index of input index i, a full permutation of
+    [0, n_cbps) that applies write-side: apply_permutation refuses any other.
     An immutable named tuple; the length is checked at construction."""
 
     __slots__ = ()
@@ -123,13 +116,9 @@ def build_table(cfg: InterleaverConfig, direction: Direction) -> AddressTable:
 
 
 def invert_table(table: AddressTable) -> AddressTable:
-    """Elementwise inverse: result.map[table.map[i]] = i; direction flipped."""
-    if not table.is_permutation():
-        raise NotAPermutation("cannot invert a corrupted address table")
-    inv = [0] * len(table.map)
-    for i, a in enumerate(table.map):
-        inv[a] = i
-    return AddressTable(table.cfg, table.direction.flipped(), tuple(inv))
+    """Elementwise inverse, the identity scattered: result.map[table.map[i]] = i."""
+    other = Direction.DEINTERLEAVE if table.direction is Direction.INTERLEAVE else Direction.INTERLEAVE
+    return AddressTable(table.cfg, other, tuple(apply_permutation(table, range(len(table.map)))))
 
 
 def apply_permutation(table: AddressTable, bits: Sequence[int]) -> list[int]:
@@ -138,13 +127,16 @@ def apply_permutation(table: AddressTable, bits: Sequence[int]) -> list[int]:
     Both directions apply write-side; the deinterleave map is the inverse
     permutation, so scattering through it is the same as gathering the
     interleaved block back through the interleave map. Deinterleaving an
-    interleaved block therefore restores the original order.
+    interleaved block therefore restores the original order. A table that
+    is not a permutation would drop a bit: it raises NotAPermutation.
     """
     if len(bits) != len(table.map):
         raise LengthMismatch(
             f"block of {len(bits)} bits against table of {len(table.map)}"
         )
+    if not table.is_permutation():
+        raise NotAPermutation("address table is not a permutation of its block")
     out = [0] * len(bits)
-    for i, a in enumerate(table.map):
-        out[a] = bits[i]
+    for a, bit in zip(table.map, bits):
+        out[a] = bit
     return out

@@ -391,6 +391,30 @@ def test_burst_refuses_one_file_for_both_reports(tmp_path, monkeypatch, capsys):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "sub"]
 
 
+def test_burst_refuses_a_hard_link_for_both_reports(tmp_path, monkeypatch, capsys):
+    """Two names of one file are the same file, though their paths differ."""
+    monkeypatch.chdir(tmp_path)
+    Path("a.csv").write_text("kept\n")
+    os.link("a.csv", "b.json")
+    code = main(["burst", "--ncbps", "32", "--s", "1", "--b", "3",
+                 "--out", "a.csv", "--json-out", "b.json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out and --json-out name the same file, a.csv\n"
+    assert Path("a.csv").read_text() == "kept\n"
+
+
+def test_both_reports_share_the_start_strings(tmp_path, monkeypatch):
+    """The first block's start strings are made once per command, not once
+    per report or per burst length."""
+    monkeypatch.chdir(tmp_path)
+    burst._first_starts.cache_clear()
+    assert main(["burst", "--preset", "qam64", "--sweep-max", "3",
+                 "--out", "r.csv", "--json-out", "r.json"]) == 0
+    assert burst._first_starts.cache_info().misses == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -17,6 +17,7 @@ from wimax_il.reference import (
     interleave_index,
     invert_table,
 )
+from wimax_il.tablefile import read_table, serialize_table
 
 from conftest import ACCEPTANCE_CONFIGS, all_valid_configs
 
@@ -120,11 +121,15 @@ def test_adjacent_inputs_never_adjacent_outputs():
 
 
 def test_invert_matches_deinterleave_table():
-    for cfg in ACCEPTANCE_CONFIGS:
+    """Inverting either direction's table gives the other direction's, on the
+    acceptance configs and every valid config with n_cbps <= 2048."""
+    for cfg in ACCEPTANCE_CONFIGS + all_valid_configs():
         itab = build_table(cfg, Direction.INTERLEAVE)
-        inv = invert_table(itab)
-        assert inv.direction is Direction.DEINTERLEAVE
-        assert inv.map == build_table(cfg, Direction.DEINTERLEAVE).map
+        dtab = build_table(cfg, Direction.DEINTERLEAVE)
+        for table, other in [(itab, dtab), (dtab, itab)]:
+            inv = invert_table(table)
+            assert inv.direction is other.direction, cfg
+            assert inv.map == other.map, cfg
 
 
 def test_invert_identity_table():
@@ -169,6 +174,26 @@ def test_deinterleave_after_interleave_restores_block():
         for _ in range(100):
             block = [rng.randint(0, 1) for _ in range(cfg.n_cbps)]
             assert apply_permutation(dtab, apply_permutation(itab, block)) == block
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda m: [-1] + m[1:],  # an address below the block
+        lambda m: [m[1]] + m[1:],  # an address written twice, one never
+        lambda m: [32] + m[1:],  # an address past the block
+    ],
+    ids=["negative", "duplicated", "past_the_end"],
+)
+def test_apply_rejects_a_table_file_that_is_not_a_permutation(corrupt, tmp_path):
+    """A canonical file may hold any addresses; scattering through one that
+    is not a permutation would drop a symbol, so it is refused."""
+    good = build_table(CFG32, Direction.INTERLEAVE)
+    path = tmp_path / "table.csv"
+    path.write_text(serialize_table(good._replace(map=tuple(corrupt(list(good.map))))))
+    table = read_table(str(path))
+    with pytest.raises(NotAPermutation):
+        apply_permutation(table, list(range(100, 132)))
 
 
 def test_apply_rejects_length_mismatch():
