@@ -8,8 +8,12 @@ Two datapath variants of the counter scheme in generator.py are modeled:
          trees and a longer combinational chain;
   speed  the loop of generator.run as a circuit, with dedicated adders per
          accumulator and a two-register pipeline: pipe_u and pipe_q hold
-         u and q, and addr_out adds them one cycle later. Run from reset,
-         it emits the deinterleave map on cycles 1..n_cbps.
+         u and q, and addr_out adds them one cycle later. Run from reset
+         by simulate, it emits the deinterleave map on cycles 1..n_cbps.
+
+A graph records its constants' values and its registers' reset values, so
+simulate needs nothing else. Every comparator tests a >= b; cmp_v and
+cmp_sphase test v + 1 and s_phase + 1, never above s, so >= s is == s.
 
 The area variant does not run: its operand muxes have no select and
 nothing sequences its round robin, so it stays a structural sketch. The
@@ -28,7 +32,9 @@ reader) and reduction_check, and its ok flag is the tradeoff verdict.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import Counter
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .config import DEFAULT_UNIT_DELAY_NS, InterleaverConfig
@@ -116,6 +122,15 @@ LUT_PER_BIT = {
     NodeKind.ADDER: 1.0, NodeKind.SUBTRACTOR: 1.0, NodeKind.COMPARATOR: 1.0, NodeKind.MUX: 0.5,
 }
 
+# each combinational kind's op census name and its rule on its inputs; a mux
+# reads (if false, if true, select)
+OPS = {
+    NodeKind.ADDER: ("add", operator.add),
+    NodeKind.SUBTRACTOR: ("sub", operator.sub),
+    NodeKind.COMPARATOR: ("compare", operator.ge),
+    NodeKind.MUX: ("select", lambda if_false, if_true, select: if_true if select else if_false),
+}
+
 
 class Variant(str, enum.Enum):
     AREA = "area"
@@ -129,7 +144,8 @@ class DatapathGraph:
     optionally, its enable: with one, it loads only in cycles where the
     enable is set. Cycles are legal only through registers. Inputs may
     name nodes added later: validate() checks them once the graph is
-    complete.
+    complete. values holds each node's value at reset: a constant's value,
+    a register's reset value, and 0 for the rest.
     """
 
     def __init__(self, variant: str, width_bits: int) -> None:
@@ -137,12 +153,14 @@ class DatapathGraph:
         self.width_bits = width_bits
         self.nodes: dict[str, NodeKind] = {}
         self.preds: dict[str, tuple[str, ...]] = {}
+        self.values: dict[str, int] = {}
 
-    def add(self, name: str, kind: NodeKind, *inputs: str) -> None:
+    def add(self, name: str, kind: NodeKind, *inputs: str, value: int = 0) -> None:
         if name in self.nodes:
             raise RangeError(f"duplicate node {name!r}")
         self.nodes[name] = kind
         self.preds[name] = tuple(inputs)
+        self.values[name] = value
 
     def validate(self) -> dict[str, int]:
         """Check every input in one walk and return, for each node, the
@@ -194,14 +212,18 @@ def width_bits(cfg: InterleaverConfig) -> int:
     return (cfg.n_cbps * cfg.d - 1).bit_length()
 
 
-def _common_counters(g: DatapathGraph, wrap: str) -> None:
+def _common_counters(g: DatapathGraph, cfg: InterleaverConfig, wrap: str) -> None:
     """Constants, the narrow dedicated counters shared by both variants
     (q-mod-s trackers and the j-mod-s counter), and the dv/dv_lo
     correction select. Each register names its next-value source; the
     q-mod-s trackers are enabled by wrap, the variant's r-wrap comparator,
     so that they advance only when q does."""
-    for const in ("const_d", "const_one", "const_s", "const_neg_sd", "const_n", "const_zero"):
-        g.add(const, NodeKind.CONSTANT)
+    n, d, s = cfg
+    constants = {
+        "const_d": d, "const_one": 1, "const_s": s, "const_neg_sd": -d * s, "const_n": n, "const_zero": 0,
+    }
+    for const, value in constants.items():
+        g.add(const, NodeKind.CONSTANT, value=value)
 
     # v = q mod s and its derived correction registers, reset when v wraps
     g.add("v", NodeKind.REGISTER, "mux_v", wrap)
@@ -211,10 +233,10 @@ def _common_counters(g: DatapathGraph, wrap: str) -> None:
     g.add("dv", NodeKind.REGISTER, "mux_dv", wrap)
     g.add("add_dv", NodeKind.ADDER, "dv", "const_d")
     g.add("mux_dv", NodeKind.MUX, "add_dv", "const_zero", "cmp_v")
-    g.add("dv_lo", NodeKind.REGISTER, "mux_dvlo", wrap)
+    g.add("dv_lo", NodeKind.REGISTER, "mux_dvlo", wrap, value=-d * s)
     g.add("add_dvlo", NodeKind.ADDER, "dv_lo", "const_d")
     g.add("mux_dvlo", NodeKind.MUX, "add_dvlo", "const_neg_sd", "cmp_v")
-    g.add("tv", NodeKind.REGISTER, "mux_tv", wrap)
+    g.add("tv", NodeKind.REGISTER, "mux_tv", wrap, value=s)
     g.add("sub_tv", NodeKind.SUBTRACTOR, "tv", "const_one")
     g.add("mux_tv", NodeKind.MUX, "sub_tv", "const_s", "cmp_v")
 
@@ -239,7 +261,7 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
     g = DatapathGraph(variant=variant.value, width_bits=width_bits(cfg))
 
     if variant is Variant.SPEED:
-        _common_counters(g, "cmp_r")
+        _common_counters(g, cfg, "cmp_r")
         # dedicated wide units; u and q are registered, and addr_out adds them
         g.add("r", NodeKind.REGISTER, "mux_r")
         g.add("q", NodeKind.REGISTER, "mux_q")
@@ -255,7 +277,7 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("add_q", NodeKind.ADDER, "q", "const_one")
         g.add("mux_q", NodeKind.MUX, "q", "add_q", "cmp_r")
     else:
-        _common_counters(g, "cmp_shared")
+        _common_counters(g, cfg, "cmp_shared")
         # one shared ALU behind operand mux trees; round-robin over the
         # r-update, the u computation, and the output address
         g.add("r", NodeKind.REGISTER, "mux_wr")
@@ -271,6 +293,53 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("add_q", NodeKind.ADDER, "q", "const_one")
         g.add("mux_q", NodeKind.MUX, "q", "add_q", "cmp_shared")
     return g
+
+
+def simulate(g: DatapathGraph, cycles: int) -> Iterator[dict[str, int]]:
+    """Yield every node's value on each of cycles clock cycles from reset: the
+    combinational nodes in depth order, then each register loads its source
+    unless its enable is clear. Raises RangeError naming a mux with no select."""
+    depths = g.validate()
+    for name, kind in g.nodes.items():
+        if kind is NodeKind.MUX and len(g.preds[name]) < 3:
+            raise RangeError(f"mux {name!r} has no select")
+    order = sorted((name for name in g.nodes if depths[name]), key=depths.__getitem__)
+    comb = [(name, OPS[g.nodes[name]][1], g.preds[name]) for name in order]
+    registers = [(name, *g.preds[name]) for name, kind in g.nodes.items() if kind is NodeKind.REGISTER]
+    values = dict(g.values)
+    for _ in range(cycles):
+        for name, rule, inputs in comb:
+            values[name] = rule(*[values[x] for x in inputs])
+        yield values
+        values = values | {
+            name: values[source] for name, source, *enable in registers if not enable or values[enable[0]]
+        }
+
+
+def op_census(cfg: InterleaverConfig) -> Counter:
+    """The speed graph's live adders, subtractors, comparators and muxes (add,
+    sub, compare, select) on each of n_cbps cycles from reset. A node is live
+    when its value reaches addr_out or a register that loads that cycle, through
+    a mux's select and selected input and through every input of other kinds."""
+    g = build_datapath(cfg, Variant.SPEED)
+    registers = [g.preds[name] for name, kind in g.nodes.items() if kind is NodeKind.REGISTER]
+    census: Counter = Counter()
+    for values in simulate(g, cfg.n_cbps):
+        live, frontier = set(), ["addr_out"]
+        for source, *enable in registers:
+            if not enable or values[enable[0]]:
+                frontier += source, *enable
+        while frontier:
+            name = frontier.pop()
+            if name in live or g.nodes[name] not in OPS:
+                continue  # registers and constants end a path
+            live.add(name)
+            inputs = g.preds[name]
+            if g.nodes[name] is NodeKind.MUX:  # its select, and the input it selects
+                inputs = (inputs[2], inputs[1] if values[inputs[2]] else inputs[0])
+            frontier += inputs
+        census.update(OPS[g.nodes[name]][0] for name in live)
+    return census
 
 
 def estimate_cost(

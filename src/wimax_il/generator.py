@@ -28,11 +28,9 @@ Configuration-time constants (d, s, -d*s) are precomputed at reset;
 the per-step datapath never divides or multiplies.
 
 The op census, a Counter of add, sub, compare and select, is not kept
-inside the loop. A block's branch counts are fixed by (n_cbps, d, s): d r
-wraps, d//s v resets and n_cbps/s s_phase resets. _add_block_census writes
-the operation totals from them in closed form, and run() asserts the
-end-of-block counter values that pin its loop to those counts. The tests
-check the loop's source, not the census, for division and multiplication.
+inside the loop: cost_model.op_census reads it off the speed graph, by
+counting the operations live on each cycle of one block. The tests check
+the loop's source, not the census, for division and multiplication.
 """
 from __future__ import annotations
 
@@ -46,24 +44,6 @@ class OpCensus(Counter):
     """Datapath operation counts by kind (add, sub, compare, select); others read 0."""
 
 
-def _add_block_census(census: OpCensus, n: int, d: int, s: int) -> None:
-    """Add one n_cbps-step block's datapath operation counts to census."""
-    wraps = d  # r gains d per step, d*n_cbps in all, and ends the block at 0
-    v_resets = d // s  # v counts the wraps and resets on every s-th one
-    v_advances = wraps - v_resets  # every other wrap advances dv, dv_lo, tv
-    s_resets = n // s  # s_phase resets on every s-th step; s divides n_cbps
-    # add, per step: r + dv/dv_lo, u + q, r + d, s_phase + 1, step counter + 1;
-    #   per wrap: q + 1, v + 1; per v advance: dv + d, dv_lo + d
-    # sub, per wrap: r - n_cbps; per v advance: tv - 1
-    # compare, per step: s_phase >= tv, r >= n_cbps, s_phase == s; per wrap: v == s
-    # select, per step: the dv/dv_lo select; per v reset: v, dv, dv_lo, tv load
-    #   their reset values; per s_phase reset: s_phase loads 0
-    census.update(
-        add=5 * n + 2 * wraps + 2 * v_advances, sub=wraps + v_advances,
-        compare=3 * n + wraps, select=n + 4 * v_resets + s_resets,
-    )
-
-
 def run(cfg: InterleaverConfig, census: OpCensus | None = None) -> AddressTable:
     """Drive the counter scheme over a whole block.
 
@@ -71,7 +51,7 @@ def run(cfg: InterleaverConfig, census: OpCensus | None = None) -> AddressTable:
     reference.build_table(cfg, Direction.DEINTERLEAVE); exactly n_cbps
     steps are taken. The interleave direction, when needed, is obtained
     by inverting this table. When census is given, the block's operation
-    counts are added to it.
+    counts, read off the speed datapath graph, are added to it.
     """
     n, d, s = cfg.n_cbps, cfg.d, cfg.s
     neg_ds = -(d * s)  # wired constant, the dv_lo reset value
@@ -103,8 +83,10 @@ def run(cfg: InterleaverConfig, census: OpCensus | None = None) -> AddressTable:
         if s_phase == s:
             s_phase = 0
 
-    # the end state that fixes the branch counts _add_block_census assumes
+    # one block from reset leaves the counters here
     assert r == 0 and q == d and v == d % s and s_phase == 0
     if census is not None:
-        _add_block_census(census, n, d, s)
+        from .cost_model import op_census  # only a census needs the datapath model
+
+        census.update(op_census(cfg))
     return AddressTable(cfg, Direction.DEINTERLEAVE, tuple(addresses))

@@ -78,9 +78,14 @@ def test_gen_writes_expected_prefix(tmp_path, capsys):
     assert table.map[:4] == (0, 16, 1, 17)
 
 
-def test_gen_engines_are_byte_identical(tmp_path):
+def test_gen_engines_are_byte_identical(tmp_path, monkeypatch):
+    """Both engines write the same bytes, and each runs: only the incremental
+    one calls the counter generator."""
+    calls, run = [], generator.run
+    monkeypatch.setattr(generator, "run", lambda cfg: calls.append(cfg) or run(cfg))
     ref, inc = tmp_path / "ref.csv", tmp_path / "inc.csv"
     for engine, path in [("reference", ref), ("incremental", inc)]:
+        calls.clear()
         assert main(
             [
                 "gen", "--preset", "qam16",
@@ -89,6 +94,7 @@ def test_gen_engines_are_byte_identical(tmp_path):
                 "--out", str(path),
             ]
         ) == 0
+        assert len(calls) == (engine == "incremental"), engine
     assert ref.read_bytes() == inc.read_bytes()
 
 

@@ -30,7 +30,7 @@ def test_validate_rejects_non_divisible_n():
 
 def test_validate_rejects_non_divisible_rows():
     # 256/16 = 16 rows; 3 does not divide 16
-    with pytest.raises(DivisibilityError):
+    with pytest.raises(DivisibilityError, match="row count n_cbps/d = 16$"):
         InterleaverConfig(256, 16, 3)
 
 

@@ -13,6 +13,7 @@ from wimax_il.cost_model import (
     compare_variants,
     estimate_cost,
     reduction_check,
+    simulate,
     width_bits,
 )
 from wimax_il.errors import CyclicGraph, RangeError
@@ -67,6 +68,9 @@ def test_undefined_input_is_rejected():
 def test_width_bits():
     assert width_bits(CFG192) == math.ceil(math.log2(192 * 16))
     assert width_bits(InterleaverConfig(384, 16, 2)) == 13
+    # n_cbps * d a power of two: 2**9 and 2**14 values need 9 and 14 bits
+    assert width_bits(InterleaverConfig(32, 16, 1)) == 9
+    assert width_bits(InterleaverConfig(1024, 16, 1)) == 14
 
 
 def test_variant_orderings_hold_for_every_config():
@@ -118,6 +122,12 @@ def test_speed_graph_is_the_counter_loop(cfg):
     """Run from reset, the speed graph emits the deinterleave map on cycles
     1..n_cbps: it is generator.run's circuit, u and q registered once."""
     assert speed_graph_addresses(cfg) == list(build_table(cfg, Direction.DEINTERLEAVE).map)
+
+
+def test_area_graph_does_not_run():
+    """Its operand muxes have no select; simulate names the first one."""
+    with pytest.raises(RangeError, match="^mux 'mux_a1' has no select$"):
+        next(simulate(build_datapath(CFG192, Variant.AREA), 1))
 
 
 def test_node_count_is_config_independent():
@@ -176,6 +186,11 @@ def test_report_derives_everything_from_its_estimates():
     assert swapped.deltas["register_count_delta"] == -1
     assert [ok for _, ok in swapped.ordering_checks] == [False, False]
     assert report.ok and not swapped.ok
+    # the depth ordering is strict: equal depths fail it
+    speed = report.speed._replace(critical_path_depth=report.area.critical_path_depth)
+    level = report._replace(speed=speed)
+    assert dict(level.ordering_checks)["speed depth < area depth"] is False
+    assert not level.ok
 
 
 def test_report_serialization_sections():

@@ -68,16 +68,16 @@ def test_census_counts_four_kinds():
 @pytest.mark.parametrize(
     "triple,expected",
     [
-        ((32, 16, 1), OpCensus(add=192, sub=16, compare=112, select=128)),
-        ((192, 16, 1), OpCensus(add=992, sub=16, compare=592, select=448)),
-        ((384, 16, 2), OpCensus(add=1968, sub=24, compare=1168, select=608)),
-        ((576, 16, 3), OpCensus(add=2934, sub=27, compare=1744, select=788)),
-        ((768, 16, 2), OpCensus(add=3888, sub=24, compare=2320, select=1184)),
-        ((1152, 16, 3), OpCensus(add=5814, sub=27, compare=3472, select=1556)),
-        ((144, 12, 1), OpCensus(add=744, sub=12, compare=444, select=336)),
-        ((288, 12, 2), OpCensus(add=1476, sub=18, compare=876, select=456)),
-        ((864, 12, 3), OpCensus(add=4360, sub=20, compare=2604, select=1168)),
-        ((2304, 16, 3), OpCensus(add=11574, sub=27, compare=6928, select=3092)),
+        ((32, 16, 1), OpCensus(add=160, sub=16, compare=112, select=192)),
+        ((192, 16, 1), OpCensus(add=800, sub=16, compare=592, select=832)),
+        ((384, 16, 2), OpCensus(add=1584, sub=24, compare=1168, select=1600)),
+        ((576, 16, 3), OpCensus(add=2358, sub=27, compare=1744, select=2368)),
+        ((768, 16, 2), OpCensus(add=3120, sub=24, compare=2320, select=3136)),
+        ((1152, 16, 3), OpCensus(add=4662, sub=27, compare=3472, select=4672)),
+        ((144, 12, 1), OpCensus(add=600, sub=12, compare=444, select=624)),
+        ((288, 12, 2), OpCensus(add=1188, sub=18, compare=876, select=1200)),
+        ((864, 12, 3), OpCensus(add=3496, sub=20, compare=2604, select=3504)),
+        ((2304, 16, 3), OpCensus(add=9270, sub=27, compare=6928, select=9280)),
     ],
 )
 def test_census_is_exact(triple, expected):
@@ -92,7 +92,21 @@ def test_census_accumulates_across_runs():
     census = OpCensus()
     run(CFG32, census)
     run(CFG32, census)
-    assert census == OpCensus(add=384, sub=32, compare=224, select=256)
+    assert census == OpCensus(add=320, sub=32, compare=224, select=384)
+
+
+def test_census_follows_its_closed_form():
+    """The census read off the speed graph is, per block, add 4n + 2w + 2a,
+    sub w + a, compare 3n + w and select 4n + 4w, for n = n_cbps, w = d r
+    wraps and a = d - d//s v advances: the per-cycle datapath, the wrap
+    logic on r wraps, and the dv, dv_lo and tv updates on v advances."""
+    for cfg in all_valid_configs(384):
+        census = OpCensus()
+        run(cfg, census)
+        n, w, a = cfg.n_cbps, cfg.d, cfg.d - cfg.d // cfg.s
+        assert census == OpCensus(
+            add=4 * n + 2 * w + 2 * a, sub=w + a, compare=3 * n + w, select=4 * n + 4 * w
+        ), cfg
 
 
 def test_census_total_is_linear():

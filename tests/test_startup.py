@@ -31,6 +31,11 @@ BUDGETS = [
         "import wimax_il.cli; wimax_il.cli.main(['burst', '--preset', 'qpsk', '--b', '8'])",
         {"wimax_il.cost_model"},
     ),
+    # verify runs the counter generator without a census, so not the datapath model
+    (
+        "import wimax_il.cli; wimax_il.cli.main(['verify', '--preset', 'qpsk'])",
+        {"wimax_il.cost_model", "wimax_il.burst"},
+    ),
 ]
 
 
@@ -53,7 +58,7 @@ def modules_loaded_by(step: str) -> set[str]:
     return set(run_child(script).stderr.split())
 
 
-@pytest.mark.parametrize("step,unloaded", BUDGETS, ids=["package", "cli", "gen", "burst"])
+@pytest.mark.parametrize("step,unloaded", BUDGETS, ids=["package", "cli", "gen", "burst", "verify"])
 def test_command_imports_only_what_it_runs(step, unloaded):
     loaded = modules_loaded_by(step)
     assert "wimax_il" in loaded
