@@ -13,16 +13,19 @@ bit, in index order:
 The format is canonical, and parse_table enforces it: text is accepted
 only if the parsed table serializes back to exactly the same bytes, so
 CRLF line endings, a missing final newline, signs, padding, underscores,
-leading zeros and extra header fields are all rejected. The same table
-always serializes to the same bytes regardless of which engine produced
-it. Values are not range-checked at parse time; verification
-(permutation and reference checks) is the verify command's job.
+leading zeros and extra header fields are all rejected. A file equal to
+the text of the reference table its header names is accepted as that
+table without its rows being parsed; any other file gets the full
+canonical round trip. The same table always serializes to the same bytes
+regardless of which engine produced it. Values are not range-checked at
+parse time; verification (permutation and reference checks) is the
+verify command's job.
 """
 from __future__ import annotations
 
 from .config import InterleaverConfig
 from .errors import TableFormatError
-from .reference import AddressTable, Direction
+from .reference import AddressTable, Direction, build_table
 
 FORMAT_LINE = "# wimax-il address table v1"
 # Length of a serialized MAX_NCBPS-bit deinterleave table with d=16, the
@@ -47,7 +50,13 @@ def serialize_table(table: AddressTable) -> str:
 def parse_table(text: str) -> AddressTable:
     """Strict parse of the canonical form; raises TableFormatError on any
     deviation (wrong header, bad row count, or any bytes that the parsed
-    table would not serialize back to)."""
+    table would not serialize back to).
+
+    Text equal to the serialized reference table of the header's config
+    and direction is that table, since canonical text parses to the one
+    map that serializes to it; only other text has its rows parsed and
+    round-tripped. The row count is checked first, so a short file never
+    builds the table its header names."""
     lines = text.splitlines()
     if len(lines) < 4:
         raise TableFormatError("file too short to be an address table")
@@ -78,6 +87,9 @@ def parse_table(text: str) -> AddressTable:
         raise TableFormatError(
             f"expected {cfg.n_cbps} rows, found {len(rows)}"
         )
+    reference = build_table(cfg, direction)
+    if serialize_table(reference) == text:
+        return reference
     try:
         addresses = tuple(map(int, [row.partition(",")[2] for row in rows]))
     except ValueError as exc:

@@ -18,7 +18,7 @@ import wimax_il.cli
 from wimax_il import burst, cost_model, generator
 from wimax_il.cli import build_parser, main
 from wimax_il.config import MAX_NCBPS, InterleaverConfig
-from wimax_il.reference import Direction, build_table
+from wimax_il.reference import AddressTable, Direction, build_table
 from wimax_il.tablefile import MAX_TABLE_CHARS, read_table, serialize_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -280,6 +280,42 @@ def test_verify_table_over_the_size_bound_exits_1(tmp_path, capsys):
         fh.write("\n")
     assert main(["verify", "--table", str(path)]) == 1
     assert capsys.readouterr().out.startswith(f"FAIL {path}: longer than the largest table")
+
+
+def test_verify_valid_table_prints_three_lines_and_checks_no_permutation(tmp_path, monkeypatch, capsys):
+    """A file equal to its reference table is a permutation, since
+    build_table always gives one, so verify does not check it again."""
+    path = tmp_path / "t.csv"
+    assert main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+
+    def no_check(table):
+        raise AssertionError("is_permutation was called")
+
+    monkeypatch.setattr(AddressTable, "is_permutation", no_check)
+    assert main(["verify", "--table", str(path)]) == 0
+    assert capsys.readouterr() == (f"permutation: ok\nmatches reference: ok\nPASS {path}\n", "")
+
+
+@pytest.mark.parametrize(
+    "old,new,checks",
+    [
+        ("0,0\n1,16\n", "0,16\n1,0\n", "permutation: ok\nmatches reference: FAIL\n"),
+        ("\n2,1\n", "\n2,16\n", "permutation: FAIL\n"),
+        ("\n0,0\n", "\n0,-1\n", "permutation: FAIL\n"),
+        ("\n0,0\n", "\n0,32\n", "permutation: FAIL\n"),
+    ],
+    ids=["swapped", "duplicate", "minus-one", "out-of-range"],
+)
+def test_verify_damaged_table_prints_its_checks(tmp_path, capsys, old, new, checks):
+    """A canonical file that is not its reference table: the permutation
+    line, the reference line only for a permutation, then FAIL."""
+    path = tmp_path / "t.csv"
+    assert main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["verify", "--table", str(path)]) == 1
+    assert capsys.readouterr() == (f"{checks}FAIL {path}\n", "")
 
 
 def test_burst_exit_codes(capsys):

@@ -36,6 +36,12 @@ BUDGETS = [
         "import wimax_il.cli; wimax_il.cli.main(['verify', '--preset', 'qpsk'])",
         {"wimax_il.cost_model", "wimax_il.burst"},
     ),
+    # a table file is checked against the reference tables alone
+    (
+        "import wimax_il.cli; wimax_il.cli.main(['verify', '--table', "
+        f"{str(Path(__file__).parent / 'golden' / 'deinterleave_192_16_1.csv')!r}])",
+        {"wimax_il.cost_model", "wimax_il.burst", "wimax_il.generator"},
+    ),
 ]
 
 
@@ -58,7 +64,9 @@ def modules_loaded_by(step: str) -> set[str]:
     return set(run_child(script).stderr.split())
 
 
-@pytest.mark.parametrize("step,unloaded", BUDGETS, ids=["package", "cli", "gen", "burst", "verify"])
+@pytest.mark.parametrize(
+    "step,unloaded", BUDGETS, ids=["package", "cli", "gen", "burst", "verify", "verify-table"]
+)
 def test_command_imports_only_what_it_runs(step, unloaded):
     loaded = modules_loaded_by(step)
     assert "wimax_il" in loaded

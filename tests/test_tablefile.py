@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import all_valid_configs
+from wimax_il import tablefile
 from wimax_il.cli import _write
-from wimax_il.config import InterleaverConfig
+from wimax_il.config import ALLOWED_D, ALLOWED_S, MAX_NCBPS, InterleaverConfig
 from wimax_il.errors import TableFormatError
 from wimax_il.generator import run
 from wimax_il.reference import AddressTable, Direction, build_table
-from wimax_il.tablefile import parse_table, read_table, serialize_table
+from wimax_il.tablefile import FORMAT_LINE, parse_table, read_table, serialize_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -85,73 +87,145 @@ def rejected(message, mutation):
     return mutation
 
 
-@pytest.mark.parametrize(
-    "mutation",
-    [
-        rejected("unknown format line 'garbage'", lambda t: "garbage\n" + t),
-        rejected(
-            "unknown format line '# wimax-il address table v2'",
-            lambda t: t.replace("v1", "v2"),
-        ),
-        rejected(
-            "bad config header '# ncbps=33 d=16 s=1'",
-            lambda t: t.replace("ncbps=32", "ncbps=33"),
-        ),
-        rejected(
-            "unknown direction 'sideways'",
-            lambda t: t.replace("direction=deinterleave", "direction=sideways"),
-        ),
-        rejected(  # drop the last row
-            "expected 32 rows, found 31", lambda t: t.rsplit("\n", 2)[0] + "\n"
-        ),
-        rejected(
-            "bad row address: invalid literal for int() with base 10: 'x'",
-            lambda t: t.replace("\n3,17\n", "\n3,x\n"),
-        ),
-        rejected(  # index out of order
-            r"line 7 is not canonical: '4,17\n', expected '3,17\n'",
-            lambda t: t.replace("\n3,17\n", "\n4,17\n"),
-        ),
-        rejected("file too short to be an address table", lambda t: ""),
-        rejected(  # underscore digit
-            r"line 7 is not canonical: '3,1_7\n', expected '3,17\n'",
-            lambda t: t.replace("\n3,17\n", "\n3,1_7\n"),
-        ),
-        rejected(  # + sign
-            r"line 7 is not canonical: '3,+17\n', expected '3,17\n'",
-            lambda t: t.replace("\n3,17\n", "\n3,+17\n"),
-        ),
-        rejected(  # extra header field
-            r"line 2 is not canonical: '# ncbps=32 d=16 s=1 extra=1\n', "
-            r"expected '# ncbps=32 d=16 s=1\n'",
-            lambda t: t.replace("s=1\n", "s=1 extra=1\n"),
-        ),
-        rejected(  # leading zero in header
-            r"line 2 is not canonical: '# ncbps=032 d=16 s=1\n', "
-            r"expected '# ncbps=32 d=16 s=1\n'",
-            lambda t: t.replace("ncbps=32", "ncbps=032"),
-        ),
-        rejected(  # CRLF line endings
-            r"line 1 is not canonical: '# wimax-il address table v1\r\n', "
-            r"expected '# wimax-il address table v1\n'",
-            lambda t: t.replace("\n", "\r\n"),
-        ),
-        rejected(  # missing final newline
-            r"line 35 is not canonical: '31,31', expected '31,31\n'",
-            lambda t: t[:-1],
-        ),
-        rejected(  # space-padded value
-            r"line 7 is not canonical: '3, 17\n', expected '3,17\n'",
-            lambda t: t.replace("\n3,17\n", "\n3, 17\n"),
-        ),
-    ],
-)
+MALFORMED = [
+    rejected("unknown format line 'garbage'", lambda t: "garbage\n" + t),
+    rejected(
+        "unknown format line '# wimax-il address table v2'",
+        lambda t: t.replace("v1", "v2"),
+    ),
+    rejected(
+        "bad config header '# ncbps=33 d=16 s=1'",
+        lambda t: t.replace("ncbps=32", "ncbps=33"),
+    ),
+    rejected(
+        "unknown direction 'sideways'",
+        lambda t: t.replace("direction=deinterleave", "direction=sideways"),
+    ),
+    rejected(  # drop the last row
+        "expected 32 rows, found 31", lambda t: t.rsplit("\n", 2)[0] + "\n"
+    ),
+    rejected(
+        "bad row address: invalid literal for int() with base 10: 'x'",
+        lambda t: t.replace("\n3,17\n", "\n3,x\n"),
+    ),
+    rejected(  # index out of order
+        r"line 7 is not canonical: '4,17\n', expected '3,17\n'",
+        lambda t: t.replace("\n3,17\n", "\n4,17\n"),
+    ),
+    rejected("file too short to be an address table", lambda t: ""),
+    rejected(  # underscore digit
+        r"line 7 is not canonical: '3,1_7\n', expected '3,17\n'",
+        lambda t: t.replace("\n3,17\n", "\n3,1_7\n"),
+    ),
+    rejected(  # + sign
+        r"line 7 is not canonical: '3,+17\n', expected '3,17\n'",
+        lambda t: t.replace("\n3,17\n", "\n3,+17\n"),
+    ),
+    rejected(  # extra header field
+        r"line 2 is not canonical: '# ncbps=32 d=16 s=1 extra=1\n', "
+        r"expected '# ncbps=32 d=16 s=1\n'",
+        lambda t: t.replace("s=1\n", "s=1 extra=1\n"),
+    ),
+    rejected(  # leading zero in header
+        r"line 2 is not canonical: '# ncbps=032 d=16 s=1\n', "
+        r"expected '# ncbps=32 d=16 s=1\n'",
+        lambda t: t.replace("ncbps=32", "ncbps=032"),
+    ),
+    rejected(  # CRLF line endings
+        r"line 1 is not canonical: '# wimax-il address table v1\r\n', "
+        r"expected '# wimax-il address table v1\n'",
+        lambda t: t.replace("\n", "\r\n"),
+    ),
+    rejected(  # missing final newline
+        r"line 35 is not canonical: '31,31', expected '31,31\n'",
+        lambda t: t[:-1],
+    ),
+    rejected(  # space-padded value
+        r"line 7 is not canonical: '3, 17\n', expected '3,17\n'",
+        lambda t: t.replace("\n3,17\n", "\n3, 17\n"),
+    ),
+]
+
+
+@pytest.mark.parametrize("mutation", MALFORMED)
 def test_parse_rejects_malformed(mutation):
     """Each deviation fails with its own message, which verify --table prints."""
     text = serialize_table(build_table(CFG32, Direction.DEINTERLEAVE))
     with pytest.raises(TableFormatError) as excinfo:
         parse_table(mutation(text))
     assert str(excinfo.value) == mutation.message
+
+
+def swap_first_two(table):
+    a, b, *rest = table.map
+    return table._replace(map=(b, a, *rest))
+
+
+def test_parse_gives_back_the_reference_table_or_the_one_that_differs():
+    for cfg in all_valid_configs(768):
+        for direction in Direction:
+            reference = build_table(cfg, direction)
+            assert parse_table(serialize_table(reference)) == reference, cfg
+            swapped = swap_first_two(reference)
+            assert parse_table(serialize_table(swapped)) == swapped, cfg
+            assert swapped != reference, cfg
+
+
+def test_a_valid_file_is_accepted_without_converting_a_row(monkeypatch):
+    converted = []
+
+    def spy(value):
+        converted.append(value)
+        return int(value)
+
+    monkeypatch.setattr(tablefile, "int", spy, raising=False)
+    reference = build_table(InterleaverConfig(576, 16, 3), Direction.DEINTERLEAVE)
+    assert parse_table(serialize_table(reference)) == reference
+    assert converted == ["576", "16", "3"]  # the header's fields only
+    # a file that differs from its reference converts every row
+    converted.clear()
+    swapped = swap_first_two(reference)
+    assert parse_table(serialize_table(swapped)) == swapped
+    assert len(converted) == 3 + 576
+
+
+def test_a_short_file_fails_on_its_row_count_before_a_table_is_built(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("build_table was called")
+
+    monkeypatch.setattr(tablefile, "build_table", no_build, raising=False)
+    text = f"{FORMAT_LINE}\n# ncbps={MAX_NCBPS} d=16 s=1\n# direction=deinterleave\n0,0\n"
+    with pytest.raises(TableFormatError) as excinfo:
+        parse_table(text)
+    assert str(excinfo.value) == f"expected {MAX_NCBPS} rows, found 1"
+
+
+@pytest.mark.parametrize("mutation", MALFORMED)
+def test_the_full_parse_stands_without_the_reference(monkeypatch, mutation):
+    """With a reference table that matches none of these files (-1 in every
+    row), the full parse alone accepts the valid text and gives each
+    deviation its exact message."""
+    monkeypatch.setattr(
+        tablefile,
+        "build_table",
+        lambda cfg, direction: AddressTable(cfg, direction, (-1,) * cfg.n_cbps),
+    )
+    reference = build_table(CFG32, Direction.DEINTERLEAVE)
+    text = serialize_table(reference)
+    assert parse_table(text) == reference
+    with pytest.raises(TableFormatError) as excinfo:
+        parse_table(mutation(text))
+    assert str(excinfo.value) == mutation.message
+
+
+@pytest.mark.parametrize("d,s", [(d, s) for d in ALLOWED_D for s in ALLOWED_S])
+def test_the_largest_reference_tables_are_permutations(d, s):
+    """verify --table does not check a file equal to its reference table for
+    being a permutation. The exhaustive check stops at 2048 bits; this pins
+    the largest valid block of each (d, s)."""
+    cfg = InterleaverConfig(d * (MAX_NCBPS // d // s * s), d, s)
+    for direction in Direction:
+        assert build_table(cfg, direction).is_permutation(), cfg
 
 
 @given(data=st.data())
