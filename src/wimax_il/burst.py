@@ -148,7 +148,9 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
     A run across a row wrap holds column d - 1 of row a and column 0 of
     row a + 1, at least rows*(d - 1) - s apart, which is no less while
     R <= d - 2. R = 1 gives b* - 1 above; R = RS_MAX_CORRECTABLE_RUN = 8
-    gives 8*rows, or 8*rows - 2 for s = 3.
+    gives 8*rows, or 8*rows - 2 for s = 3. At R = d - 1, measured and not
+    proved, b_max is one less than the law on every config up to 720 bits
+    but (24,12,2), (36,12,3) and (32,16,2), where it equals the law.
 
     One call sweeps every length. window_stats scores each start's first
     length b from its sorted window; each longer length L follows from

@@ -11,9 +11,10 @@ Two datapath variants of the counter scheme in generator.py are modeled:
          u and q, and addr_out adds them one cycle later. Run from reset
          by simulate, it emits the deinterleave map on cycles 1..n_cbps.
 
-A graph records its constants' values and its registers' reset values, so
-simulate needs nothing else. Every comparator tests a >= b; cmp_v and
-cmp_sphase test v + 1 and s_phase + 1, never above s, so >= s is == s.
+simulate runs a graph from its node records alone; DatapathGraph describes
+the records and the table of combinational kinds. Every comparator tests
+a >= b; cmp_v and cmp_sphase test v + 1 and s_phase + 1, never above s, so
+>= s is == s.
 
 The area variant does not run: its operand muxes have no select and
 nothing sequences its round robin, so it stays a structural sketch. The
@@ -34,7 +35,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .config import DEFAULT_UNIT_DELAY_NS, InterleaverConfig
@@ -113,22 +114,21 @@ class NodeKind(str, enum.Enum):
     CONSTANT = "constant"
 
 
-# LUT-equivalent weights per bit of datapath width; declared arbitrary.
-# Add/subtract units and comparators cost one LUT per bit, a 2:1 mux half.
-# The keys are the combinational kinds; registers and constants cost
-# nothing. Width is ceil(log2(n_cbps * d)), wide enough for every
-# intermediate value.
-LUT_PER_BIT = {
-    NodeKind.ADDER: 1.0, NodeKind.SUBTRACTOR: 1.0, NodeKind.COMPARATOR: 1.0, NodeKind.MUX: 0.5,
-}
+class Primitive(NamedTuple):
+    op: str
+    lut_per_bit: float
+    rule: Callable[..., int]
 
-# each combinational kind's op census name and its rule on its inputs; a mux
-# reads (if false, if true, select)
-OPS = {
-    NodeKind.ADDER: ("add", operator.add),
-    NodeKind.SUBTRACTOR: ("sub", operator.sub),
-    NodeKind.COMPARATOR: ("compare", operator.ge),
-    NodeKind.MUX: ("select", lambda if_false, if_true, select: if_true if select else if_false),
+
+# LUT-equivalent weights per bit are declared arbitrary: add/subtract units
+# and comparators cost one LUT per bit, a 2:1 mux half, and registers and
+# constants nothing. Width is ceil(log2(n_cbps * d)), wide enough for every
+# intermediate value. A mux reads (if false, if true, select).
+PRIMITIVES = {
+    NodeKind.ADDER: Primitive("add", 1.0, operator.add),
+    NodeKind.SUBTRACTOR: Primitive("sub", 1.0, operator.sub),
+    NodeKind.COMPARATOR: Primitive("compare", 1.0, operator.ge),
+    NodeKind.MUX: Primitive("select", 0.5, lambda if_false, if_true, select: if_true if select else if_false),
 }
 
 
@@ -137,30 +137,35 @@ class Variant(str, enum.Enum):
     SPEED = "speed"
 
 
+class Node(NamedTuple):
+    kind: NodeKind
+    inputs: tuple[str, ...]
+    value: int
+
+
 class DatapathGraph:
     """Directed primitive-level structure: nodes plus data-dependency edges.
 
-    A register's inputs are the node producing its next value and,
-    optionally, its enable: with one, it loads only in cycles where the
-    enable is set. Cycles are legal only through registers. Inputs may
-    name nodes added later: validate() checks them once the graph is
-    complete. values holds each node's value at reset: a constant's value,
-    a register's reset value, and 0 for the rest.
+    nodes maps each name to one Node(kind, inputs, value). A kind in
+    PRIMITIVES is combinational, and that table holds its census name,
+    LUT-equivalent weight per bit and rule; the other kinds are registers
+    and constants. A register's inputs are the node producing its next
+    value and, optionally, its enable: with one, it loads only in cycles
+    where the enable is set. Cycles are legal only through registers.
+    Inputs may name nodes added later: validate() checks them once the
+    graph is complete. value is the node's value at reset: a constant's
+    value, a register's reset value, and 0 for the rest.
     """
 
     def __init__(self, variant: str, width_bits: int) -> None:
         self.variant = variant
         self.width_bits = width_bits
-        self.nodes: dict[str, NodeKind] = {}
-        self.preds: dict[str, tuple[str, ...]] = {}
-        self.values: dict[str, int] = {}
+        self.nodes: dict[str, Node] = {}
 
     def add(self, name: str, kind: NodeKind, *inputs: str, value: int = 0) -> None:
         if name in self.nodes:
             raise RangeError(f"duplicate node {name!r}")
-        self.nodes[name] = kind
-        self.preds[name] = tuple(inputs)
-        self.values[name] = value
+        self.nodes[name] = Node(kind, inputs, value)
 
     def validate(self) -> dict[str, int]:
         """Check every input in one walk and return, for each node, the
@@ -177,11 +182,11 @@ class DatapathGraph:
             if name in entered:
                 raise CyclicGraph(f"combinational loop through {name!r}")
             entered.add(name)
-            inputs = self.preds[name]
+            kind, inputs, _ = self.nodes[name]
             for src in inputs:
                 if src not in self.nodes:
                     raise RangeError(f"node {name!r} reads undefined {src!r}")
-            if self.nodes[name] not in LUT_PER_BIT:
+            if kind not in PRIMITIVES:
                 depths[name] = 0  # a chain starts here; its inputs are not followed
             elif not inputs:
                 raise RangeError(f"combinational node {name!r} has no inputs")
@@ -300,13 +305,13 @@ def simulate(g: DatapathGraph, cycles: int) -> Iterator[dict[str, int]]:
     combinational nodes in depth order, then each register loads its source
     unless its enable is clear. Raises RangeError naming a mux with no select."""
     depths = g.validate()
-    for name, kind in g.nodes.items():
-        if kind is NodeKind.MUX and len(g.preds[name]) < 3:
+    for name, (kind, inputs, _) in g.nodes.items():
+        if kind is NodeKind.MUX and len(inputs) < 3:
             raise RangeError(f"mux {name!r} has no select")
     order = sorted((name for name in g.nodes if depths[name]), key=depths.__getitem__)
-    comb = [(name, OPS[g.nodes[name]][1], g.preds[name]) for name in order]
-    registers = [(name, *g.preds[name]) for name, kind in g.nodes.items() if kind is NodeKind.REGISTER]
-    values = dict(g.values)
+    comb = [(name, PRIMITIVES[g.nodes[name].kind].rule, g.nodes[name].inputs) for name in order]
+    registers = [(name, *node.inputs) for name, node in g.nodes.items() if node.kind is NodeKind.REGISTER]
+    values = {name: node.value for name, node in g.nodes.items()}
     for _ in range(cycles):
         for name, rule, inputs in comb:
             values[name] = rule(*[values[x] for x in inputs])
@@ -322,7 +327,8 @@ def op_census(cfg: InterleaverConfig) -> Counter:
     when its value reaches addr_out or a register that loads that cycle, through
     a mux's select and selected input and through every input of other kinds."""
     g = build_datapath(cfg, Variant.SPEED)
-    registers = [g.preds[name] for name, kind in g.nodes.items() if kind is NodeKind.REGISTER]
+    registers = [node.inputs for node in g.nodes.values() if node.kind is NodeKind.REGISTER]
+    ops = {name: PRIMITIVES[kind].op for name, (kind, _, _) in g.nodes.items() if kind in PRIMITIVES}
     census: Counter = Counter()
     for values in simulate(g, cfg.n_cbps):
         live, frontier = set(), ["addr_out"]
@@ -331,14 +337,14 @@ def op_census(cfg: InterleaverConfig) -> Counter:
                 frontier += source, *enable
         while frontier:
             name = frontier.pop()
-            if name in live or g.nodes[name] not in OPS:
+            if name in live or name not in ops:
                 continue  # registers and constants end a path
             live.add(name)
-            inputs = g.preds[name]
-            if g.nodes[name] is NodeKind.MUX:  # its select, and the input it selects
+            kind, inputs, _ = g.nodes[name]
+            if kind is NodeKind.MUX:  # its select, and the input it selects
                 inputs = (inputs[2], inputs[1] if values[inputs[2]] else inputs[0])
             frontier += inputs
-        census.update(OPS[g.nodes[name]][0] for name in live)
+        census.update(map(ops.__getitem__, live))
     return census
 
 
@@ -358,12 +364,8 @@ def estimate_cost(
             f"got {unit_delay_ns}"
         )
     depths = g.validate()
-    counts = Counter(g.nodes.values())
-    lut = sum(
-        LUT_PER_BIT[kind] * g.width_bits
-        for kind in g.nodes.values()
-        if kind in LUT_PER_BIT
-    )
+    counts = Counter(node.kind for node in g.nodes.values())
+    lut = sum(counts[kind] * primitive.lut_per_bit * g.width_bits for kind, primitive in PRIMITIVES.items())
     depth = max(depths.values(), default=0)
     fmax = 1000.0 / (depth * unit_delay_ns) if depth else float("inf")
     return CostReport(

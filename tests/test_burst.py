@@ -197,6 +197,18 @@ def test_burst_limit_law(cfg):
         assert shortest[r] - 1 == r * cfg.rows - r % cfg.s, r
 
 
+@pytest.mark.parametrize("cfg", all_valid_configs(384), ids=lambda cfg: cfg.as_text())
+def test_burst_limit_one_below_d(cfg):
+    """At R = d - 1, past the proof, b_max(R) is pinned as measured: one less
+    than R*rows - (R mod s), except on three blocks where the law holds;
+    (48,16,3) has rows = s too, yet the law overstates it. Worst runs grow
+    with the burst, so the two lengths fix b_max."""
+    r = cfg.d - 1
+    b_max = r * cfg.rows - r % cfg.s - (tuple(cfg) not in {(24, 12, 2), (36, 12, 3), (32, 16, 2)})
+    worst = burst_sweep(cfg, b_max, b_max + 1).worst_runs
+    assert worst[0] <= r < worst[1]
+
+
 @pytest.mark.parametrize("name,b_max", [("qpsk", 96), ("qam16", 192), ("qam64", 286)])
 def test_burst_limit_at_the_rs_run_limit(name, b_max):
     """At R = 8 the worst run is 8 at b_max(8) and 9 one bit longer."""

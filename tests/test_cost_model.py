@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+from wimax_il import cost_model
 from wimax_il.config import InterleaverConfig
 from wimax_il.cost_model import (
+    COMPARISON_TOLERANCE,
     PAPER_REFERENCE,
+    PRIMITIVES,
     DatapathGraph,
     NodeKind,
     TradeoffReport,
@@ -91,7 +94,7 @@ def test_every_node_feeds_addr_out():
                 name = frontier.pop()
                 if name not in live:
                     live.add(name)
-                    frontier.extend(g.preds[name])
+                    frontier.extend(g.nodes[name].inputs)
             assert set(g.nodes) - live == set(), (cfg, variant)
 
 
@@ -104,11 +107,11 @@ def test_q_mod_s_trackers_advance_only_on_r_wrap():
         (Variant.SPEED, "cmp_r", (9, 10, 4, 8, 3)),
     ]:
         g = build_datapath(CFG192, variant)
-        assert g.preds["mux_q"][-1] == wrap
-        assert g.nodes[wrap] is NodeKind.COMPARATOR
+        assert g.nodes["mux_q"].inputs[-1] == wrap
+        assert g.nodes[wrap].kind is NodeKind.COMPARATOR
         for reg in ("v", "dv", "dv_lo", "tv"):
-            assert g.nodes[reg] is NodeKind.REGISTER
-            assert g.preds[reg][1:] == (wrap,), (variant, reg)
+            assert g.nodes[reg].kind is NodeKind.REGISTER
+            assert g.nodes[reg].inputs[1:] == (wrap,), (variant, reg)
         report = estimate_cost(g)
         got = (report.register_count, report.adder_count, report.comparator_count,
                report.mux_count, report.critical_path_depth)
@@ -149,6 +152,14 @@ def test_lut_equiv_weighting():
     assert report.lut_equiv == 10 + 10 + 5
 
 
+def test_every_kind_is_a_primitive_a_register_or_a_constant():
+    """Every reader of the graph takes a kind in PRIMITIVES as combinational;
+    the rest are registers and constants, so a new kind cannot reach only
+    part of the model."""
+    assert set(NodeKind) == {*PRIMITIVES, NodeKind.REGISTER, NodeKind.CONSTANT}
+    assert len(NodeKind) == len(PRIMITIVES) + 2
+
+
 def test_fmax_proxy_formula():
     g = toy_graph()
     g.add("a", NodeKind.REGISTER, "add2")
@@ -159,6 +170,16 @@ def test_fmax_proxy_formula():
     assert estimate_cost(g, unit_delay_ns=2.5).fmax_proxy_mhz == 200.0
     with pytest.raises(RangeError):
         estimate_cost(g, unit_delay_ns=0.0)
+
+
+def test_a_graph_without_a_chain_has_depth_0():
+    """With no combinational node, the empty graph included, there is no
+    chain to time: depth 0 and an infinite fmax proxy."""
+    g = toy_graph()
+    assert estimate_cost(g)[-2:] == (0, math.inf)
+    g.add("r", NodeKind.REGISTER, "c")
+    g.add("c", NodeKind.CONSTANT, value=1)
+    assert estimate_cost(g)[-2:] == (0, math.inf)
 
 
 def test_estimate_is_pure():
@@ -223,3 +244,10 @@ def test_reduction_check_within_tolerance():
     assert all(ok for *_, ok in rows)
     for _, recomputed, printed, _ in rows:
         assert abs(recomputed - printed) <= 0.1
+
+
+def test_reduction_check_tolerance_is_inclusive(monkeypatch):
+    """A row exactly COMPARISON_TOLERANCE from its printed value passes."""
+    edge = PAPER_REFERENCE._replace(upadhyaya_slices_pct=1.0, printed_slices_reduction_pct=COMPARISON_TOLERANCE)
+    monkeypatch.setattr(cost_model, "PAPER_REFERENCE", edge)
+    assert reduction_check()[0] == ("slices_pct", 0.0, COMPARISON_TOLERANCE, True)
