@@ -116,6 +116,7 @@ class NodeKind(str, enum.Enum):
 
 class Primitive(NamedTuple):
     op: str
+    arity: int
     lut_per_bit: float
     rule: Callable[..., int]
 
@@ -123,12 +124,13 @@ class Primitive(NamedTuple):
 # LUT-equivalent weights per bit are declared arbitrary: add/subtract units
 # and comparators cost one LUT per bit, a 2:1 mux half, and registers and
 # constants nothing. Width is ceil(log2(n_cbps * d)), wide enough for every
-# intermediate value. A mux reads (if false, if true, select).
+# intermediate value. arity is the number of inputs the rule takes; a mux
+# reads (if false, if true, select).
 PRIMITIVES = {
-    NodeKind.ADDER: Primitive("add", 1.0, operator.add),
-    NodeKind.SUBTRACTOR: Primitive("sub", 1.0, operator.sub),
-    NodeKind.COMPARATOR: Primitive("compare", 1.0, operator.ge),
-    NodeKind.MUX: Primitive("select", 0.5, lambda if_false, if_true, select: if_true if select else if_false),
+    NodeKind.ADDER: Primitive("add", 2, 1.0, operator.add),
+    NodeKind.SUBTRACTOR: Primitive("sub", 2, 1.0, operator.sub),
+    NodeKind.COMPARATOR: Primitive("compare", 2, 1.0, operator.ge),
+    NodeKind.MUX: Primitive("select", 3, 0.5, lambda if_false, if_true, select: if_true if select else if_false),
 }
 
 
@@ -148,13 +150,13 @@ class DatapathGraph:
 
     nodes maps each name to one Node(kind, inputs, value). A kind in
     PRIMITIVES is combinational, and that table holds its census name,
-    LUT-equivalent weight per bit and rule; the other kinds are registers
-    and constants. A register's inputs are the node producing its next
-    value and, optionally, its enable: with one, it loads only in cycles
-    where the enable is set. Cycles are legal only through registers.
-    Inputs may name nodes added later: validate() checks them once the
-    graph is complete. value is the node's value at reset: a constant's
-    value, a register's reset value, and 0 for the rest.
+    input count, LUT-equivalent weight per bit and rule; the other kinds
+    are registers and constants. A register's inputs are the node
+    producing its next value and, optionally, its enable: with one, it
+    loads only in cycles where the enable is set. Cycles are legal only
+    through registers. Inputs may name nodes added later: validate()
+    checks them once the graph is complete. value is the node's value at
+    reset: a constant's value, a register's reset value, and 0 for the rest.
     """
 
     def __init__(self, variant: str, width_bits: int) -> None:
@@ -170,8 +172,10 @@ class DatapathGraph:
     def validate(self) -> dict[str, int]:
         """Check every input in one walk and return, for each node, the
         longest combinational chain ending at it; registers and constants
-        are depth 0. Raises RangeError on an undefined input or an
-        input-less combinational node, CyclicGraph on a combinational loop.
+        are depth 0. Raises RangeError on an undefined input or on a
+        primitive with no inputs or more than its arity, CyclicGraph on a
+        combinational loop. Fewer than its arity pass: the area graph's
+        select-less muxes are costed, and simulate refuses them.
         """
         depths: dict[str, int] = {}
         entered: set[str] = set()
@@ -188,8 +192,8 @@ class DatapathGraph:
                     raise RangeError(f"node {name!r} reads undefined {src!r}")
             if kind not in PRIMITIVES:
                 depths[name] = 0  # a chain starts here; its inputs are not followed
-            elif not inputs:
-                raise RangeError(f"combinational node {name!r} has no inputs")
+            elif not 0 < len(inputs) <= PRIMITIVES[kind].arity:
+                raise RangeError(f"{kind.value} {name!r} has {len(inputs)} inputs, outside 1..{PRIMITIVES[kind].arity}")
             else:
                 depths[name] = 1 + max(map(walk, inputs))
             return depths[name]
@@ -303,11 +307,12 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
 def simulate(g: DatapathGraph, cycles: int) -> Iterator[dict[str, int]]:
     """Yield every node's value on each of cycles clock cycles from reset: the
     combinational nodes in depth order, then each register loads its source
-    unless its enable is clear. Raises RangeError naming a mux with no select."""
+    unless its enable is clear. Raises RangeError, before the first cycle,
+    naming the first primitive whose input count is not its arity."""
     depths = g.validate()
     for name, (kind, inputs, _) in g.nodes.items():
-        if kind is NodeKind.MUX and len(inputs) < 3:
-            raise RangeError(f"mux {name!r} has no select")
+        if kind in PRIMITIVES and len(inputs) != PRIMITIVES[kind].arity:
+            raise RangeError(f"{kind.value} {name!r} has {len(inputs)} inputs, not {PRIMITIVES[kind].arity}")
     order = sorted((name for name in g.nodes if depths[name]), key=depths.__getitem__)
     comb = [(name, PRIMITIVES[g.nodes[name].kind].rule, g.nodes[name].inputs) for name in order]
     registers = [(name, *node.inputs) for name, node in g.nodes.items() if node.kind is NodeKind.REGISTER]

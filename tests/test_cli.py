@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -60,6 +61,20 @@ def test_each_subcommand_options_defaults_and_handler(monkeypatch):
         assert main([name]) == 0
         assert build_parser() is parser
     assert calls == [(name, name) for name in [*expected, *expected]]
+
+
+def test_readme_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
+    """Every `wimax-il ...` line of the README's CLI code block runs through
+    main(), in order and in one working directory, and exits 0; the
+    `verify --table` example reads the file the `gen` example writes."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("wimax-il ")]
+    assert {argv[0] for argv in commands} == {"gen", "verify", "burst", "tradeoff"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def test_gen_writes_expected_prefix(tmp_path, capsys):

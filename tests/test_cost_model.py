@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -129,7 +130,7 @@ def test_speed_graph_is_the_counter_loop(cfg):
 
 def test_area_graph_does_not_run():
     """Its operand muxes have no select; simulate names the first one."""
-    with pytest.raises(RangeError, match="^mux 'mux_a1' has no select$"):
+    with pytest.raises(RangeError, match="^mux 'mux_a1' has 2 inputs, not 3$"):
         next(simulate(build_datapath(CFG192, Variant.AREA), 1))
 
 
@@ -150,6 +151,43 @@ def test_lut_equiv_weighting():
     report = estimate_cost(g)
     # adder 1/bit + comparator 1/bit + mux 0.5/bit, registers free
     assert report.lut_equiv == 10 + 10 + 5
+
+
+@pytest.mark.parametrize(
+    "kind, count, costed",
+    [
+        (NodeKind.ADDER, 1, True),
+        (NodeKind.COMPARATOR, 1, True),
+        (NodeKind.MUX, 2, True),
+        (NodeKind.SUBTRACTOR, 3, False),
+        (NodeKind.MUX, 4, False),
+        (NodeKind.ADDER, 0, False),
+    ],
+    ids=lambda x: x.value if isinstance(x, NodeKind) else str(x),
+)
+def test_a_primitive_runs_only_on_its_arity(kind, count, costed):
+    """estimate_cost costs a primitive wired to 1..arity inputs, and simulate
+    runs it only on exactly arity; each refusal is a RangeError naming the
+    node, raised before the first cycle."""
+    arity = PRIMITIVES[kind].arity
+    g = toy_graph()
+    g.add("c", NodeKind.CONSTANT, value=1)
+    g.add("p", kind, *["c"] * count)
+    g.add("r", NodeKind.REGISTER, "p")
+    if costed:
+        assert estimate_cost(g).critical_path_depth == 1
+        message = f"^{kind.value} 'p' has {count} inputs, not {arity}$"
+    else:
+        message = f"^{kind.value} 'p' has {count} inputs, outside 1..{arity}$"
+        with pytest.raises(RangeError, match=message):
+            estimate_cost(g)
+    with pytest.raises(RangeError, match=message):
+        next(simulate(g, 1))
+
+
+def test_each_arity_is_its_rules_parameter_count():
+    for kind, primitive in PRIMITIVES.items():
+        assert primitive.arity == len(inspect.signature(primitive.rule).parameters), kind
 
 
 def test_every_kind_is_a_primitive_a_register_or_a_constant():
