@@ -165,12 +165,13 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
     since position j = rows*c + p of column c holds bit d*r + c with
     r = s*(p // s) + (p + c) % s, which c + s leaves unchanged. Window
     stats do not change under a shift, so for every length L, runs[L] and
-    gaps[L] repeat with period P. A call therefore scores the first
-    min(n - b + 1, P + last - b) starts of length b (none for b = 1, whose
-    run is 1 and gap 0); each longer length L keeps one start fewer, at
-    least min(n - L + 1, P), and the result holds its first
-    min(P, n - L + 1) entries: the report of start j is entry j % P. Spans
-    are gathered only for the windows those starts cover.
+    gaps[L] repeat with period P. A call therefore scores each length L at
+    the first min(P, n - L + 1) starts, the entries its result keeps
+    (window_stats scores none for b = 1, whose run is 1 and gap 0): the
+    report of start j is entry j % P. Where L keeps P starts, the step from
+    L - 1 reads its start P as start 0; where L keeps fewer, the step cuts
+    the column to n - L + 1 entries. Spans are gathered only for windows
+    that start below P.
     """
     n = cfg.n_cbps
     last = b if last is None else last
@@ -193,10 +194,7 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
         )
     dmap = build_table(cfg, Direction.DEINTERLEAVE).map
     period = cfg.s * cfg.rows
-    # length L needs its first min(n - L + 1, period) starts, and keeps one
-    # start fewer than L - 1; every scored window ends below end
-    scored = min(n - b + 1, period + last - b)
-    end = scored + b - 1
+    scored = min(n - b + 1, period)
     firsts = (
         [window_stats(sorted(dmap[start:start + b])) for start in range(scored)]
         if b > 1 else [(1, 0)] * scored  # a lone position: run 1, gap 0
@@ -205,30 +203,32 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
     all_runs, all_gaps = [runs], [gaps]
     if b == 1:
         gaps = [n] * scored  # no pair yet: the first pair sets the gap
-    # spans[L][s] for b < L <= last and s + L <= end: each run of original
-    # bits v, v + 1, ... grows one bit at a time until its channel positions
-    # span over last or reach end
+    # spans[L][s] for b < L <= last and s < period: each run of original bits
+    # v, v + 1, ... grows one bit at a time until its channel positions span
+    # over last
     pos = build_table(cfg, Direction.INTERLEAVE).map  # the inverse of dmap
     spans: list[dict[int, int]] = [{} for _ in range(last + 1)]
-    for v in dmap[:end] if last > b else ():
+    for v in dmap[:period + last - 1] if last > b else ():
         lo = hi = pos[v]
         for w, p in enumerate(pos[v + 1:v + last], 2):
             lo = p if p < lo else lo
             hi = p if p > hi else hi
-            if hi - lo >= last or hi >= end:
+            if hi - lo >= last:
                 break
-            if hi - lo >= b and spans[hi - lo + 1].get(lo, 0) < w:
+            if hi - lo >= b and lo < period and spans[hi - lo + 1].get(lo, 0) < w:
                 spans[hi - lo + 1][lo] = w
     for length in range(b + 1, last + 1):
-        runs = [x if x > y else y for x, y in zip(runs, runs[1:])]
+        # start period of length - 1 reads as start 0
+        runs = [x if x > y else y for x, y in zip(runs, runs[1:] + runs[:1])]
+        del runs[n - length + 1:]
         for start, run in spans[length].items():
             runs[start] = max(runs[start], run)
-        gaps = [x if x < y else y for x, y in zip(gaps, gaps[1:])]
-        pairs = map(abs, map(sub, dmap, dmap[length - 1:end]))  # |dmap[s] - dmap[s + L - 1]|
+        gaps = [x if x < y else y for x, y in zip(gaps, gaps[1:] + gaps[:1])]
+        pairs = map(abs, map(sub, dmap, dmap[length - 1:length - 1 + period]))  # |dmap[s] - dmap[s + L - 1]|
         gaps = [x if x < y else y for x, y in zip(gaps, pairs)]
         all_runs.append(runs)
         all_gaps.append(gaps)
-    runs, gaps = (tuple(tuple(c[:period]) for c in columns) for columns in (all_runs, all_gaps))
+    runs, gaps = (tuple(map(tuple, columns)) for columns in (all_runs, all_gaps))
     return SweepResult(cfg, range(b, last + 1), runs, gaps, tuple(map(max, all_runs)))
 
 

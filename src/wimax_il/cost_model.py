@@ -132,6 +132,9 @@ PRIMITIVES = {
     NodeKind.COMPARATOR: Primitive("compare", 2, 1.0, operator.ge),
     NodeKind.MUX: Primitive("select", 3, 0.5, lambda if_false, if_true, select: if_true if select else if_false),
 }
+# The most inputs of the other kinds: a register reads the node producing
+# its next value and an optional enable, a constant reads nothing
+STATE_INPUTS = {NodeKind.REGISTER: 2, NodeKind.CONSTANT: 0}
 
 
 class Variant(str, enum.Enum):
@@ -172,10 +175,12 @@ class DatapathGraph:
     def validate(self) -> dict[str, int]:
         """Check every input in one walk and return, for each node, the
         longest combinational chain ending at it; registers and constants
-        are depth 0. Raises RangeError on an undefined input or on a
-        primitive with no inputs or more than its arity, CyclicGraph on a
+        are depth 0. Raises RangeError on an undefined input, on a
+        primitive with no inputs or more than its arity, and on a register
+        or constant with more than its STATE_INPUTS; CyclicGraph on a
         combinational loop. Fewer than its arity pass: the area graph's
-        select-less muxes are costed, and simulate refuses them.
+        select-less muxes are costed, and simulate refuses them. So is a
+        register with no source, which holds its reset value.
         """
         depths: dict[str, int] = {}
         entered: set[str] = set()
@@ -190,12 +195,11 @@ class DatapathGraph:
             for src in inputs:
                 if src not in self.nodes:
                     raise RangeError(f"node {name!r} reads undefined {src!r}")
-            if kind not in PRIMITIVES:
-                depths[name] = 0  # a chain starts here; its inputs are not followed
-            elif not 0 < len(inputs) <= PRIMITIVES[kind].arity:
-                raise RangeError(f"{kind.value} {name!r} has {len(inputs)} inputs, outside 1..{PRIMITIVES[kind].arity}")
-            else:
-                depths[name] = 1 + max(map(walk, inputs))
+            least, most = (1, PRIMITIVES[kind].arity) if kind in PRIMITIVES else (0, STATE_INPUTS[kind])
+            if not least <= len(inputs) <= most:
+                raise RangeError(f"{kind.value} {name!r} has {len(inputs)} inputs, outside {least}..{most}")
+            # a register or constant starts a chain; its inputs are not followed
+            depths[name] = 1 + max(map(walk, inputs)) if kind in PRIMITIVES else 0
             return depths[name]
 
         for name in self.nodes:
@@ -307,12 +311,15 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
 def simulate(g: DatapathGraph, cycles: int) -> Iterator[dict[str, int]]:
     """Yield every node's value on each of cycles clock cycles from reset: the
     combinational nodes in depth order, then each register loads its source
-    unless its enable is clear. Raises RangeError, before the first cycle,
-    naming the first primitive whose input count is not its arity."""
+    unless its enable is clear. Raises what validate raises and, before the
+    first cycle, a RangeError naming the first primitive whose input count
+    is not its arity or the first register with no source."""
     depths = g.validate()
     for name, (kind, inputs, _) in g.nodes.items():
         if kind in PRIMITIVES and len(inputs) != PRIMITIVES[kind].arity:
             raise RangeError(f"{kind.value} {name!r} has {len(inputs)} inputs, not {PRIMITIVES[kind].arity}")
+        if kind is NodeKind.REGISTER and not inputs:
+            raise RangeError(f"register {name!r} has 0 inputs, no source to load")
     order = sorted((name for name in g.nodes if depths[name]), key=depths.__getitem__)
     comb = [(name, PRIMITIVES[g.nodes[name].kind].rule, g.nodes[name].inputs) for name in order]
     registers = [(name, *node.inputs) for name, node in g.nodes.items() if node.kind is NodeKind.REGISTER]

@@ -129,13 +129,22 @@ def test_one_call_matches_brute_force_where_tiling_could_slip(triple, first, las
     assert_one_call_matches_brute_force(InterleaverConfig(*triple), first, last)
 
 
+@st.composite
+def small_sweeps(draw):
+    cfg = draw(st.sampled_from(all_valid_configs(192)))
+    last = draw(st.integers(1, cfg.n_cbps))
+    return cfg, draw(st.integers(1, last)), last
+
+
 @settings(deadline=None, max_examples=25)  # the brute force is slow, not the sweep
-@given(data=st.data())
-def test_one_call_matches_brute_force_on_any_small_block(data):
-    cfg = data.draw(st.sampled_from(all_valid_configs(192)))
-    last = data.draw(st.integers(1, cfg.n_cbps))
-    first = data.draw(st.integers(1, last))
-    assert_one_call_matches_brute_force(cfg, first, last)
+@given(sweep=small_sweeps())
+# lengths on both sides of n - L + 1 = s*rows, where a step stops reading
+# start s*rows as start 0 and cuts the column instead
+@example(sweep=(InterleaverConfig(96, 16, 1), 1, 96))  # the seam at L = 91
+@example(sweep=(InterleaverConfig(192, 16, 3), 150, 165))  # the seam at L = 157
+@example(sweep=(InterleaverConfig(144, 12, 2), 118, 124))  # the seam at L = 121
+def test_one_call_matches_brute_force_on_any_small_block(sweep):
+    assert_one_call_matches_brute_force(*sweep)
 
 
 @pytest.mark.parametrize(
@@ -143,8 +152,8 @@ def test_one_call_matches_brute_force_on_any_small_block(data):
 )
 def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first, last, monkeypatch):
     """Only the first length is scored from its window, whatever the last,
-    and only at the starts that one column period of every swept length
-    needs, none when it is 1; every longer length follows from the one
+    and only at the starts its result keeps, min(n_cbps - first + 1,
+    s*rows), none when it is 1; every longer length follows from the one
     before. The map comes from build_table, which calls no index function."""
     calls = {"window_stats": 0, "deinterleave_index": 0}
 
@@ -162,7 +171,7 @@ def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first,
     cfg = InterleaverConfig(*triple)
     result = burst_sweep(cfg, first, last)
     assert result.lengths == range(first, last + 1)
-    scored = 0 if first == 1 else min(cfg.n_cbps - first + 1, cfg.s * cfg.rows + last - first)
+    scored = 0 if first == 1 else min(cfg.n_cbps - first + 1, cfg.s * cfg.rows)
     assert calls == {"window_stats": scored, "deinterleave_index": 0}
 
 

@@ -150,6 +150,14 @@ def test_missing_config_exits_2(capsys):
     assert main(["verify"]) == 2
 
 
+@pytest.mark.parametrize("given", [["--ncbps", "192"], ["--s", "1"], ["--d", "16"]])
+def test_a_partial_triple_names_both_options(given, capsys):
+    """Without --preset, --ncbps and --s are both needed; missing either is
+    refused by the CLI before any config is checked."""
+    assert main(["gen", *given]) == 2
+    assert capsys.readouterr().err == "error: need --ncbps and --s (or --preset)\n"
+
+
 def test_verify_all_presets(capsys):
     assert main(["verify", "--all-presets"]) == 0
     out = capsys.readouterr().out
@@ -188,9 +196,10 @@ def move_the_last_interleave_address(to):
         ("invert", wimax_il.cli, "invert_table", swap_first_two),
         ("bijective", wimax_il.cli, "build_table", duplicate_an_interleave_address),
         ("bijective", wimax_il.cli, "build_table", move_the_last_interleave_address(lambda n: n + 3)),
+        ("bijective", wimax_il.cli, "build_table", move_the_last_interleave_address(lambda n: n)),
         ("bijective", wimax_il.cli, "build_table", move_the_last_interleave_address(lambda n: -1)),
     ],
-    ids=["incremental", "invert", "bijective", "out_of_range", "negative"],
+    ids=["incremental", "invert", "bijective", "out_of_range", "one_past_the_end", "negative"],
 )
 def test_verify_all_presets_fails_closed(monkeypatch, capsys, column, module, attr, corrupt):
     """A corrupted engine output is a FAIL row and exit 1 on every preset,

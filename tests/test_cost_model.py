@@ -9,6 +9,7 @@ from wimax_il.cost_model import (
     COMPARISON_TOLERANCE,
     PAPER_REFERENCE,
     PRIMITIVES,
+    STATE_INPUTS,
     DatapathGraph,
     NodeKind,
     TradeoffReport,
@@ -183,6 +184,41 @@ def test_a_primitive_runs_only_on_its_arity(kind, count, costed):
             estimate_cost(g)
     with pytest.raises(RangeError, match=message):
         next(simulate(g, 1))
+
+
+@pytest.mark.parametrize(
+    "kind, count, costed, runs",
+    [
+        (NodeKind.REGISTER, 0, True, False),
+        (NodeKind.REGISTER, 1, True, True),
+        (NodeKind.REGISTER, 2, True, True),
+        (NodeKind.REGISTER, 3, False, False),
+        (NodeKind.CONSTANT, 0, True, True),
+        (NodeKind.CONSTANT, 1, False, False),
+        (NodeKind.CONSTANT, 2, False, False),
+    ],
+    ids=lambda x: x.value if isinstance(x, NodeKind) else str(x),
+)
+def test_registers_and_constants_are_wired_by_name(kind, count, costed, runs):
+    """estimate_cost costs a register with up to two inputs (its source and
+    enable) and a constant with none, and simulate runs a register only
+    with a source; each refusal is a RangeError naming the kind, the node
+    and the count, raised before the first cycle."""
+    g = toy_graph()
+    g.add("c", NodeKind.CONSTANT, value=1)
+    g.add("x", kind, *["c"] * count)
+    g.add("add", NodeKind.ADDER, "x", "c")
+    if costed:
+        assert estimate_cost(g).critical_path_depth == 1
+    else:
+        message = f"^{kind.value} 'x' has {count} inputs, outside 0..{STATE_INPUTS[kind]}$"
+        with pytest.raises(RangeError, match=message):
+            estimate_cost(g)
+    if runs:
+        assert next(simulate(g, 1))["add"] == g.nodes["x"].value + 1
+    else:
+        with pytest.raises(RangeError, match=f"^{kind.value} 'x' has {count} inputs"):
+            next(simulate(g, 1))
 
 
 def test_each_arity_is_its_rules_parameter_count():

@@ -1,7 +1,8 @@
 """Each command loads only what it runs, and the package itself loads and
 defines nothing: each name lives in its module. The checks run in fresh
 interpreters and compare against a snapshot taken first, so what site
-already loaded does not count."""
+already loaded does not count. No module imports a name it does not use."""
+import ast
 import os
 import subprocess
 import sys
@@ -76,3 +77,30 @@ def test_command_imports_only_what_it_runs(step, unloaded):
 def test_package_defines_no_public_name():
     script = "import wimax_il; print([n for n in vars(wimax_il) if not n.startswith('_')])"
     assert run_child(script).stdout == "[]\n"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by source's top-level imports that nothing in it reads,
+    except on an import whose lines carry "# noqa: F401"."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = [
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and not any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+        for alias in node.names
+    ]
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_finds_an_unused_name():
+    source = "import os\nimport sys  # noqa: F401\nfrom a.b import c, d as e\nprint(c)\n"
+    assert unused_imports(source) == ["os", "e"]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "wimax_il").glob("*.py")), ids=lambda path: path.stem)
+def test_module_imports_only_names_it_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
