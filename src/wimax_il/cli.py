@@ -15,6 +15,7 @@ import sys
 from collections.abc import Iterable
 from functools import cache
 
+from . import reference
 from .config import DEFAULT_D, DEFAULT_UNIT_DELAY_NS, PRESETS, InterleaverConfig, preset
 from .errors import InterleaverError, RangeError, TableFormatError
 from .reference import Direction, build_table, invert_table
@@ -121,7 +122,8 @@ def _verify_table(path: str) -> tuple[int, str]:
         table = read_table(path)
     except (TableFormatError, OSError) as exc:
         return 1, f"FAIL {path}: {exc}"
-    # build_table always gives a permutation, so a match needs no check
+    # build_table always gives a permutation, so a match needs no check; the
+    # reference comes from the memo, since parse_table built it for the file
     matches = table.map == build_table(table.cfg, table.direction).map
     perm_ok = matches or table.is_permutation()
     checks = [("permutation", perm_ok)]
@@ -258,6 +260,10 @@ def main(argv: list[str] | None = None) -> int:
             # what is still buffered goes nowhere at exit, instead of failing again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    finally:
+        # no table outlives its command; cleared through the module, since
+        # a patched cli.build_table has no memo
+        reference.build_table.cache_clear()
     return code
 
 

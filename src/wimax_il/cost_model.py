@@ -167,9 +167,15 @@ class DatapathGraph:
         self.width_bits = width_bits
         self.nodes: dict[str, Node] = {}
 
-    def add(self, name: str, kind: NodeKind, *inputs: str, value: int = 0) -> None:
+    def add(self, name: str, kind: NodeKind | str, *inputs: str, value: int = 0) -> None:
+        """Add a node; kind is a NodeKind or its value, such as "register".
+        Raises RangeError on a duplicate name or an unknown kind."""
         if name in self.nodes:
             raise RangeError(f"duplicate node {name!r}")
+        try:
+            kind = NodeKind(kind)
+        except ValueError:
+            raise RangeError(f"node {name!r} has unknown kind {kind!r}") from None
         self.nodes[name] = Node(kind, inputs, value)
 
     def validate(self) -> dict[str, int]:

@@ -20,6 +20,7 @@ functions on every valid config.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .config import InterleaverConfig
@@ -85,9 +86,16 @@ class AddressTable(_Table):
         return True
 
 
+@lru_cache(maxsize=1, typed=True)
 def build_table(cfg: InterleaverConfig, direction: Direction) -> AddressTable:
     """The whole block of interleave_index or deinterleave_index, built by
     O(d*s) slice assignments rather than one call per index.
+
+    The last table built is memoized, keyed by the arguments and their
+    types, so the second of two calls for one table within a command costs
+    nothing; callers can share it, since an AddressTable is immutable. The
+    memo lives for one command: cli.main clears it when the command ends,
+    and it never holds more than one table.
 
     Write bit k as k = r*d + c, with row r < rows = n_cbps/d and column
     c < d. Step 1 sends it to m = rows*c + r, so floor(d*m/n_cbps) = c.

@@ -14,12 +14,12 @@ The format is canonical, and parse_table enforces it: text is accepted
 only if the parsed table serializes back to exactly the same bytes, so
 CRLF line endings, a missing final newline, signs, padding, underscores,
 leading zeros and extra header fields are all rejected. A file equal to
-the text of the reference table its header names is accepted as that
-table without its rows being parsed; any other file gets the full
-canonical round trip. The same table always serializes to the same bytes
-regardless of which engine produced it. Values are not range-checked at
-parse time; verification (permutation and reference checks) is the
-verify command's job.
+the text of the reference table its header names is compared whole and
+accepted as that table, never split into rows; any other file is split
+into lines and gets the full canonical round trip. The same table always
+serializes to the same bytes regardless of which engine produced it.
+Values are not range-checked at parse time; verification (permutation
+and reference checks) is the verify command's job.
 """
 from __future__ import annotations
 
@@ -54,10 +54,19 @@ def parse_table(text: str) -> AddressTable:
 
     Text equal to the serialized reference table of the header's config
     and direction is that table, since canonical text parses to the one
-    map that serializes to it; only other text has its rows parsed and
-    round-tripped. The row count is checked first, so a short file never
-    builds the table its header names."""
-    lines = text.splitlines()
+    map that serializes to it. Such text is compared whole and never split
+    into rows: its header is read from text.split("\n", 3) and its rows
+    counted by "\n". Only text that differs from its reference, or whose
+    header lines hold another of the line boundaries str.splitlines
+    honours, is split with splitlines and has its rows parsed and round
+    tripped; the messages come from that split. The row count is checked
+    first, so a file short of the rows its header names never builds the
+    table."""
+    lines = text.split("\n", 3)
+    # canonical text has four such parts and no other line boundary
+    fast = len(lines) == 4 and lines[3] != "" and "\n".join(lines[:3]).splitlines() == lines[:3]
+    if not fast:
+        lines = text.splitlines()
     if len(lines) < 4:
         raise TableFormatError("file too short to be an address table")
     if lines[0] != FORMAT_LINE:
@@ -82,14 +91,17 @@ def parse_table(text: str) -> AddressTable:
     except ValueError as exc:
         raise TableFormatError(f"unknown direction {dirname!r}") from exc
 
+    if fast:
+        if text.count("\n") == cfg.n_cbps + 3:
+            reference = build_table(cfg, direction)
+            if serialize_table(reference) == text:
+                return reference
+        lines = text.splitlines()
     rows = lines[3:]
     if len(rows) != cfg.n_cbps:
         raise TableFormatError(
             f"expected {cfg.n_cbps} rows, found {len(rows)}"
         )
-    reference = build_table(cfg, direction)
-    if serialize_table(reference) == text:
-        return reference
     try:
         addresses = tuple(map(int, [row.partition(",")[2] for row in rows]))
     except ValueError as exc:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import wimax_il
 import wimax_il.cli
-from wimax_il import burst, cost_model, generator
+from wimax_il import burst, cost_model, generator, reference
 from wimax_il.cli import build_parser, main
 from wimax_il.config import MAX_NCBPS, InterleaverConfig
 from wimax_il.reference import AddressTable, Direction, build_table
@@ -340,6 +340,48 @@ def test_verify_damaged_table_prints_its_checks(tmp_path, capsys, old, new, chec
     capsys.readouterr()
     assert main(["verify", "--table", str(path)]) == 1
     assert capsys.readouterr() == (f"{checks}FAIL {path}\n", "")
+
+
+def memo_at_each_command_end(monkeypatch):
+    """The build_table memo's (hits, misses) as each main() call clears it."""
+    seen = []
+    clear = reference.build_table.cache_clear
+
+    def spy():
+        info = reference.build_table.cache_info()
+        seen.append((info.hits, info.misses))
+        clear()
+
+    monkeypatch.setattr(reference.build_table, "cache_clear", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "old,new,code", [("", "", 0), ("0,0\n1,16\n", "0,16\n1,0\n", 1)], ids=["valid", "swapped"]
+)
+def test_verify_table_builds_its_reference_once(tmp_path, monkeypatch, capsys, old, new, code):
+    """parse_table builds the reference table to compare the file with, and
+    verify's own comparison finds it in the memo."""
+    path = tmp_path / "t.csv"
+    assert main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)]) == 0
+    path.write_text(path.read_text().replace(old, new, 1))
+    seen = memo_at_each_command_end(monkeypatch)
+    assert main(["verify", "--table", str(path)]) == code
+    assert seen == [(1, 1)]
+
+
+def test_consecutive_commands_share_no_table(tmp_path, monkeypatch, capsys):
+    """Each main() call builds its own table and leaves the memo empty, also
+    when the command fails."""
+    path = tmp_path / "t.csv"
+    assert main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)]) == 0
+    seen = memo_at_each_command_end(monkeypatch)
+    assert main(["verify", "--table", str(path)]) == 0
+    assert reference.build_table.cache_info().currsize == 0
+    assert main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(tmp_path)]) == 2
+    assert main(["verify", "--table", str(path)]) == 0
+    assert seen == [(1, 1), (0, 1), (1, 1)]
+    assert reference.build_table.cache_info().currsize == 0
 
 
 def test_burst_exit_codes(capsys):

@@ -221,6 +221,27 @@ def test_registers_and_constants_are_wired_by_name(kind, count, costed, runs):
             next(simulate(g, 1))
 
 
+@pytest.mark.parametrize("kind", ["latch", "Register", None, 3])
+def test_an_unknown_kind_is_refused_by_name(kind):
+    """add refuses a kind that is not a NodeKind value, naming the node and
+    the kind, before the graph holds it."""
+    g = toy_graph()
+    with pytest.raises(RangeError, match=rf"^node 'x' has unknown kind {kind!r}$"):
+        g.add("x", kind)
+    assert g.nodes == {}
+
+
+def test_a_kind_given_by_its_value_is_that_kind():
+    """A counter wired with plain strings for its kinds runs like one wired
+    with NodeKind members: the register loads on every cycle."""
+    g = toy_graph()
+    g.add("one", "constant", value=1)
+    g.add("next", "adder", "acc", "one")
+    g.add("acc", "register", "next")
+    assert {node.kind for node in g.nodes.values()} == {NodeKind.CONSTANT, NodeKind.ADDER, NodeKind.REGISTER}
+    assert [values["acc"] for values in simulate(g, 4)] == [0, 1, 2, 3]
+
+
 def test_each_arity_is_its_rules_parameter_count():
     for kind, primitive in PRIMITIVES.items():
         assert primitive.arity == len(inspect.signature(primitive.rule).parameters), kind

@@ -85,6 +85,21 @@ def test_build_table_calls_no_index_function(monkeypatch):
     assert calls == []
 
 
+def test_the_memo_holds_one_table_keyed_by_argument_types():
+    """build_table keeps its last table. An argument equal to a key but of
+    another type, a plain str direction or a plain tuple config, misses, so
+    it gets what it would get without the memo."""
+    build_table.cache_clear()
+    itab = build_table(CFG32, Direction.INTERLEAVE)
+    assert build_table(CFG32, Direction.INTERLEAVE) is itab
+    plain = build_table(CFG32, "interleave")
+    assert plain is not itab and type(plain.direction) is str
+    with pytest.raises(AttributeError):
+        build_table(tuple(CFG32), Direction.INTERLEAVE)
+    assert build_table(CFG32, Direction.INTERLEAVE) is not itab
+    assert build_table.cache_info().currsize == 1
+
+
 def test_bijectivity_and_mutual_inverse_exhaustive():
     """Both tables are permutations and exact inverses for every valid
     config with n_cbps <= 2048."""

@@ -304,3 +304,108 @@ def test_write_never_cuts_a_target_that_is_not_a_regular_file(monkeypatch):
 
     monkeypatch.setattr(os, "ftruncate", no_cut)
     _write(os.devnull, ["some", " text\n"])
+
+
+def naive_parse(text):
+    """The plain parse that parse_table must agree with on every text:
+    split the whole text with splitlines, check the header and the row
+    count, then parse every row and round-trip it."""
+    lines = text.splitlines()
+    if len(lines) < 4:
+        raise TableFormatError("file too short to be an address table")
+    if lines[0] != FORMAT_LINE:
+        raise TableFormatError(f"unknown format line {lines[0]!r}")
+    fields = dict(part.partition("=")[::2] for part in lines[1].removeprefix("# ").split())
+    try:
+        cfg = InterleaverConfig(int(fields["ncbps"]), int(fields["d"]), int(fields["s"]))
+    except (KeyError, ValueError) as exc:
+        raise TableFormatError(f"bad config header {lines[1]!r}") from exc
+    prefix, _, dirname = lines[2].partition("=")
+    if prefix != "# direction":
+        raise TableFormatError(f"bad direction header {lines[2]!r}")
+    try:
+        direction = Direction(dirname)
+    except ValueError as exc:
+        raise TableFormatError(f"unknown direction {dirname!r}") from exc
+    rows = lines[3:]
+    if len(rows) != cfg.n_cbps:
+        raise TableFormatError(f"expected {cfg.n_cbps} rows, found {len(rows)}")
+    try:
+        table = AddressTable(cfg, direction, tuple(int(row.partition(",")[2]) for row in rows))
+    except ValueError as exc:
+        raise TableFormatError(f"bad row address: {exc}") from exc
+    canonical = serialize_table(table)
+    if canonical != text:
+        pairs = zip(canonical.splitlines(True), text.splitlines(True))
+        lineno, want, got = next((i, w, g) for i, (w, g) in enumerate(pairs, 1) if w != g)
+        raise TableFormatError(f"line {lineno} is not canonical: {got!r}, expected {want!r}")
+    return table
+
+
+def outcome(parse, text):
+    """What parse makes of text: the table it returns or the message it raises."""
+    try:
+        return parse(text)
+    except TableFormatError as exc:
+        return f"TableFormatError: {exc}"
+
+
+# Every line boundary str.splitlines honours besides "\n"
+OTHER_BREAKS = ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+CFG32_TEXT = serialize_table(build_table(CFG32, Direction.DEINTERLEAVE))
+
+
+@pytest.mark.parametrize("mutation", [lambda t: t, *MALFORMED])
+def test_parse_agrees_with_the_naive_parse_on_the_malformed_corpus(mutation):
+    text = mutation(CFG32_TEXT)
+    assert outcome(parse_table, text) == outcome(naive_parse, text)
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda t, b: t.replace("v1\n", f"v1{b}\n"),  # ending the format line
+        lambda t, b: t.replace(" d=16", f"{b}d=16"),  # inside the config line
+        lambda t, b: t.replace("deinterleave\n", f"deinterleave{b}"),  # ending the header
+        lambda t, b: t.replace("\n3,17\n", f"\n3,1{b}7\n"),  # inside a row
+        lambda t, b: t.replace("\n3,17\n", f"\n3,17{b}"),  # ending a row
+        lambda t, b: t.replace("\n3,17\n", f"\n3,17{b}\n"),  # one more row, empty
+        lambda t, b: t + b,  # at the end
+        lambda t, b: t[:-1] + b,  # ending the last row
+    ],
+    ids=["format", "config", "header-end", "in-row", "row-end", "extra-row", "end", "last-row-end"],
+)
+@pytest.mark.parametrize("boundary", OTHER_BREAKS, ids=["+".join(f"U+{ord(c):04X}" for c in b) for b in OTHER_BREAKS])
+def test_parse_agrees_with_the_naive_parse_on_every_other_line_boundary(place, boundary):
+    text = place(CFG32_TEXT, boundary)
+    assert text != CFG32_TEXT
+    assert outcome(parse_table, text) == outcome(naive_parse, text)
+
+
+@given(data=st.data())
+def test_parse_agrees_with_the_naive_parse_on_edited_text(data):
+    """One to three inserted, deleted or replaced characters, drawn mostly
+    from the format's own and the line boundaries, get the same table or
+    the same message from both parses."""
+    text = CFG32_TEXT
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        at = data.draw(st.integers(0, len(text) - (edit != "insert")))
+        char = data.draw(st.sampled_from(["\n", ",", "#", "=", " ", "0", "1", "7", *OTHER_BREAKS]) | st.characters())
+        text = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert"):]
+    assert outcome(parse_table, text) == outcome(naive_parse, text)
+
+
+class Unsplittable(str):
+    def splitlines(self, keepends=False):
+        raise AssertionError("the text was split into lines")
+
+
+def test_a_valid_file_is_accepted_without_being_split_into_lines():
+    for cfg in (CFG32, InterleaverConfig(2304, 16, 3)):
+        for direction in Direction:
+            reference = build_table(cfg, direction)
+            assert parse_table(Unsplittable(serialize_table(reference))) == reference
+    # text that differs from its reference is split
+    with pytest.raises(AssertionError, match="split into lines"):
+        parse_table(Unsplittable(serialize_table(swap_first_two(reference))))
