@@ -16,18 +16,24 @@ CRLF line endings, a missing final newline, signs, padding, underscores,
 leading zeros and extra header fields are all rejected. A file equal to
 the text of the reference table its header names is compared whole and
 accepted as that table, never split into rows; any other file is split
-into lines and gets the full canonical round trip. The same table always
-serializes to the same bytes regardless of which engine produced it.
+into lines, compared with the reference text, and only the lines that
+differ are parsed and checked. The same table always serializes to the
+same bytes regardless of which engine produced it.
 Values are not range-checked at parse time; verification (permutation
 and reference checks) is the verify command's job.
 """
 from __future__ import annotations
+
+from itertools import compress, count
+from operator import ne
 
 from .config import InterleaverConfig
 from .errors import TableFormatError
 from .reference import AddressTable, Direction, build_table
 
 FORMAT_LINE = "# wimax-il address table v1"
+# One "index,address" row of the canonical text
+ROW = "%s,%s\n"
 # Length of a serialized MAX_NCBPS-bit deinterleave table with d=16, the
 # longest canonical table; every longer file is rejected unparsed.
 MAX_TABLE_CHARS = 764_288
@@ -44,7 +50,7 @@ def serialize_table(table: AddressTable) -> str:
     return (
         f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
         f"# direction={table.direction.value}\n"
-    ) + "%s,%s\n" * n % tuple(flat)
+    ) + ROW * n % tuple(flat)
 
 
 def parse_table(text: str) -> AddressTable:
@@ -56,17 +62,22 @@ def parse_table(text: str) -> AddressTable:
     and direction is that table, since canonical text parses to the one
     map that serializes to it. Such text is compared whole and never split
     into rows: its header is read from text.split("\n", 3) and its rows
-    counted by "\n". Only text that differs from its reference, or whose
-    header lines hold another of the line boundaries str.splitlines
-    honours, is split with splitlines and has its rows parsed and round
-    tripped; the messages come from that split. The row count is checked
-    first, so a file short of the rows its header names never builds the
-    table."""
+    counted by "\n". Any other text, or text whose header lines hold
+    another of the line boundaries str.splitlines honours, is split with
+    splitlines and its row count checked; the reference is built only
+    then, so a file short of the rows its header names never builds it.
+    The text's lines are compared with the reference text's, and only the
+    lines that differ are parsed and checked: a line equal to its
+    reference line is canonical and parses to the reference value. The
+    result is the reference map with the differing rows replaced. Every
+    differing row is converted, in line order, before a line is reported,
+    so a bad row address is reported before a line that is not canonical,
+    and the first line that would not serialize back is the one named."""
     lines = text.split("\n", 3)
     # canonical text has four such parts and no other line boundary
     fast = len(lines) == 4 and lines[3] != "" and "\n".join(lines[:3]).splitlines() == lines[:3]
     if not fast:
-        lines = text.splitlines()
+        lines = text.splitlines()[:4]  # the header lines and a first row
     if len(lines) < 4:
         raise TableFormatError("file too short to be an address table")
     if lines[0] != FORMAT_LINE:
@@ -91,32 +102,39 @@ def parse_table(text: str) -> AddressTable:
     except ValueError as exc:
         raise TableFormatError(f"unknown direction {dirname!r}") from exc
 
-    if fast:
-        if text.count("\n") == cfg.n_cbps + 3:
-            reference = build_table(cfg, direction)
-            if serialize_table(reference) == text:
-                return reference
-        lines = text.splitlines()
-    rows = lines[3:]
-    if len(rows) != cfg.n_cbps:
+    reference = None
+    if fast and text.count("\n") == cfg.n_cbps + 3:
+        reference = build_table(cfg, direction)
+        reference_text = serialize_table(reference)
+        if reference_text == text:
+            return reference
+    got = text.splitlines(True)
+    if len(got) != cfg.n_cbps + 3:
         raise TableFormatError(
-            f"expected {cfg.n_cbps} rows, found {len(rows)}"
+            f"expected {cfg.n_cbps} rows, found {len(got) - 3}"
         )
+    if reference is None:
+        reference = build_table(cfg, direction)
+        reference_text = serialize_table(reference)
+    want = reference_text.splitlines(True)
+    addresses = list(reference.map)
+    first = None  # the first line that does not serialize back, and its canonical form
     try:
-        addresses = tuple(map(int, [row.partition(",")[2] for row in rows]))
+        for i in compress(count(), map(ne, want, got)):
+            expected = want[i]
+            if i > 2:  # a row, which int's message quotes without its line ending
+                addresses[i - 3] = int(got[i].splitlines()[0].partition(",")[2])
+                expected = ROW % (i - 3, addresses[i - 3])
+            if first is None and got[i] != expected:
+                first = i, expected
     except ValueError as exc:
         raise TableFormatError(f"bad row address: {exc}") from exc
-    table = AddressTable(cfg, direction, addresses)
-    canonical = serialize_table(table)
-    if canonical != text:
-        pairs = zip(canonical.splitlines(True), text.splitlines(True))
-        lineno, want, got = next(
-            (i, want, got) for i, (want, got) in enumerate(pairs, 1) if want != got
-        )
+    if first is not None:
+        i, expected = first
         raise TableFormatError(
-            f"line {lineno} is not canonical: {got!r}, expected {want!r}"
+            f"line {i + 1} is not canonical: {got[i]!r}, expected {expected!r}"
         )
-    return table
+    return AddressTable(cfg, direction, tuple(addresses))
 
 
 def read_table(path: str) -> AddressTable:

@@ -1,4 +1,5 @@
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,14 @@ from wimax_il.cli import _write
 from wimax_il.config import ALLOWED_D, ALLOWED_S, MAX_NCBPS, InterleaverConfig
 from wimax_il.errors import TableFormatError
 from wimax_il.generator import run
-from wimax_il.reference import AddressTable, Direction, build_table
+from wimax_il.reference import (
+    AddressTable,
+    Direction,
+    build_table,
+    deinterleave_index,
+    interleave_index,
+    invert_table,
+)
 from wimax_il.tablefile import FORMAT_LINE, parse_table, read_table, serialize_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -182,11 +190,11 @@ def test_a_valid_file_is_accepted_without_converting_a_row(monkeypatch):
     reference = build_table(InterleaverConfig(576, 16, 3), Direction.DEINTERLEAVE)
     assert parse_table(serialize_table(reference)) == reference
     assert converted == ["576", "16", "3"]  # the header's fields only
-    # a file that differs from its reference converts every row
+    # a file with two swapped rows converts the header's fields and those rows only
     converted.clear()
     swapped = swap_first_two(reference)
     assert parse_table(serialize_table(swapped)) == swapped
-    assert len(converted) == 3 + 576
+    assert len(converted) == 5
 
 
 def test_a_short_file_fails_on_its_row_count_before_a_table_is_built(monkeypatch):
@@ -226,6 +234,32 @@ def test_the_largest_reference_tables_are_permutations(d, s):
     cfg = InterleaverConfig(d * (MAX_NCBPS // d // s * s), d, s)
     for direction in Direction:
         assert build_table(cfg, direction).is_permutation(), cfg
+
+
+@pytest.mark.parametrize("d,s", [(d, s) for d in ALLOWED_D for s in ALLOWED_S])
+def test_the_largest_admitted_blocks(tmp_path, d, s):
+    """The largest block of each (d, s) the CLI admits: both engines and the
+    inverse of the interleave table give the deinterleave table, the per-index
+    oracle agrees with both tables on every column's first and last s
+    positions and a seeded sample, and a file of the table with two rows
+    swapped reads back as that table."""
+    cfg = InterleaverConfig(d * (MAX_NCBPS // d // s * s), d, s)
+    n, rows = cfg.n_cbps, cfg.n_cbps // d
+    deinterleave = build_table(cfg, Direction.DEINTERLEAVE)
+    interleave = build_table(cfg, Direction.INTERLEAVE)
+    assert run(cfg) == deinterleave
+    assert invert_table(interleave) == deinterleave
+    ends = [t for t in range(s)] + [rows - s + t for t in range(s)]
+    sample = random.Random(n * d + s).sample(range(n), 200)
+    # column c is k = c + d*r on the interleave side, j = rows*c + r on the other
+    for k in {c + d * r for c in range(d) for r in ends}.union(sample):
+        assert interleave.map[k] == interleave_index(cfg, k), (cfg, k)
+    for j in {rows * c + r for c in range(d) for r in ends}.union(sample):
+        assert deinterleave.map[j] == deinterleave_index(cfg, j), (cfg, j)
+    swapped = swap_first_two(deinterleave)
+    path = tmp_path / "table.csv"
+    _write(str(path), serialize_table(swapped))
+    assert read_table(str(path)) == swapped
 
 
 @given(data=st.data())
@@ -393,6 +427,41 @@ def test_parse_agrees_with_the_naive_parse_on_edited_text(data):
         at = data.draw(st.integers(0, len(text) - (edit != "insert")))
         char = data.draw(st.sampled_from(["\n", ",", "#", "=", " ", "0", "1", "7", *OTHER_BREAKS]) | st.characters())
         text = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert"):]
+    assert outcome(parse_table, text) == outcome(naive_parse, text)
+
+
+REAL_SIZE_TEXTS = {
+    (triple, direction): serialize_table(build_table(InterleaverConfig(*triple), direction))
+    for triple in [(384, 16, 2), (2304, 16, 3)]
+    for direction in Direction
+}
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@given(data=st.data())
+def test_parse_agrees_with_the_naive_parse_on_damaged_rows(data):
+    """One to four rows of a real-size table replaced by a line that is
+    nearly a row get the same table or the same message from both parses."""
+    text = REAL_SIZE_TEXTS[data.draw(st.sampled_from(sorted(REAL_SIZE_TEXTS)))]
+    lines = text.splitlines(True)
+    n = len(lines) - 3
+    for _ in range(data.draw(st.integers(1, 4))):
+        i, other = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        value = lines[3 + i].rstrip("\n").partition(",")[2]
+        damaged = data.draw(st.sampled_from([
+            f"{i},{lines[3 + other].rstrip().partition(',')[2]}\n",  # another row's address
+            f"{other},{value}\n",  # a wrong index
+            f"{i},-{value}\n",
+            f"{i},{n + other}\n",  # out of range
+            f"{i},+{value}\n",
+            f"{i},{value[:1]}_{value[1:]}\n",
+            f"{i}, {value}\n",
+            f"{i},0{value}\n",
+            f"{i},{value.translate(ARABIC_INDIC)}\n",
+            f"{i},{value}{data.draw(st.sampled_from(OTHER_BREAKS))}",
+        ]))
+        lines[3 + i] = damaged
+    text = "".join(lines)
     assert outcome(parse_table, text) == outcome(naive_parse, text)
 
 
