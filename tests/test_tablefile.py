@@ -1,3 +1,4 @@
+import io
 import os
 import random
 from pathlib import Path
@@ -20,7 +21,7 @@ from wimax_il.reference import (
     interleave_index,
     invert_table,
 )
-from wimax_il.tablefile import FORMAT_LINE, parse_table, read_table, serialize_table
+from wimax_il.tablefile import FORMAT_LINE, MAX_TABLE_CHARS, parse_table, read_table, serialize_table
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -249,7 +250,7 @@ def test_the_largest_admitted_blocks(tmp_path, d, s):
     interleave = build_table(cfg, Direction.INTERLEAVE)
     assert run(cfg) == deinterleave
     assert invert_table(interleave) == deinterleave
-    ends = [t for t in range(s)] + [rows - s + t for t in range(s)]
+    ends = [*range(s), *range(rows - s, rows)]  # each column's first and last s rows
     sample = random.Random(n * d + s).sample(range(n), 200)
     # column c is k = c + d*r on the interleave side, j = rows*c + r on the other
     for k in {c + d * r for c in range(d) for r in ends}.union(sample):
@@ -284,6 +285,22 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     _write(str(path), serialize_table(table))
     assert read_table(str(path)) == table
+
+
+def test_read_table_reads_one_character_past_the_largest_table(monkeypatch):
+    """An oversized file is refused after MAX_TABLE_CHARS + 1 characters,
+    never read whole."""
+    asked = []
+
+    class Spy(io.StringIO):
+        def read(self, size=-1):
+            asked.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(tablefile, "open", lambda *args, **kwargs: Spy("x" * (MAX_TABLE_CHARS + 9)), raising=False)
+    with pytest.raises(TableFormatError, match="longer than the largest table"):
+        read_table("oversized.csv")
+    assert asked == [MAX_TABLE_CHARS + 1]
 
 
 def test_write_overwrites_an_existing_file_in_place(tmp_path):
