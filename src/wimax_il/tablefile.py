@@ -77,7 +77,8 @@ def parse_table(text: str) -> AddressTable:
     # canonical text has four such parts and no other line boundary
     fast = len(lines) == 4 and lines[3] != "" and "\n".join(lines[:3]).splitlines() == lines[:3]
     if not fast:
-        lines = text.splitlines()[:4]  # the header lines and a first row
+        got = text.splitlines(True)
+        lines = [line.splitlines()[0] for line in got[:4]]
     if len(lines) < 4:
         raise TableFormatError("file too short to be an address table")
     if lines[0] != FORMAT_LINE:
@@ -103,20 +104,22 @@ def parse_table(text: str) -> AddressTable:
         raise TableFormatError(f"unknown direction {dirname!r}") from exc
 
     reference = None
-    if fast and text.count("\n") == cfg.n_cbps + 3:
-        reference = build_table(cfg, direction)
-        reference_text = serialize_table(reference)
-        if reference_text == text:
-            return reference
-    got = text.splitlines(True)
+    if fast:
+        if text.count("\n") == cfg.n_cbps + 3:
+            reference = build_table(cfg, direction)
+            reference_text = serialize_table(reference)
+            if reference_text == text:
+                return reference
+            want = reference_text.splitlines(True)
+            del reference_text  # so that no more than the two line lists are held
+        got = text.splitlines(True)
     if len(got) != cfg.n_cbps + 3:
         raise TableFormatError(
             f"expected {cfg.n_cbps} rows, found {len(got) - 3}"
         )
     if reference is None:
         reference = build_table(cfg, direction)
-        reference_text = serialize_table(reference)
-    want = reference_text.splitlines(True)
+        want = serialize_table(reference).splitlines(True)
     addresses = list(reference.map)
     first = None  # the first line that does not serialize back, and its canonical form
     try:
@@ -134,6 +137,7 @@ def parse_table(text: str) -> AddressTable:
         raise TableFormatError(
             f"line {i + 1} is not canonical: {got[i]!r}, expected {expected!r}"
         )
+    del want, got  # freed before the result's tuple is built
     return AddressTable(cfg, direction, tuple(addresses))
 
 

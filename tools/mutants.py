@@ -114,8 +114,8 @@ def key(source: str, mutant: Mutant) -> tuple[str, str, str]:
     return mutant.path, before.strip(), after.strip()
 
 
-def load_allowed(path: Path = ALLOW) -> dict[tuple[str, str, str], str]:
-    entries = json.loads(path.read_text(encoding="utf-8"))
+def load_allowed() -> dict[tuple[str, str, str], str]:
+    entries = json.loads(ALLOW.read_text(encoding="utf-8"))
     return {(e["path"], e["line"], e["mutant"]): e["reason"] for e in entries}
 
 
@@ -142,13 +142,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("files", nargs="+", help="source files, relative to the repository root")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--count", type=int, default=40, help="mutants to draw (all sites if fewer)")
-    parser.add_argument("--allow", type=Path, default=ALLOW)
     args = parser.parse_args(argv)
 
     sources = {f: (ROOT / f).read_text(encoding="utf-8") for f in args.files}
     candidates = [m for f, source in sources.items() for m in sites(source, f)]
     chosen = draw(candidates, args.seed, args.count)
-    allowed = load_allowed(args.allow)
+    allowed = load_allowed()
     print(f"{len(chosen)} of {len(candidates)} sites drawn with seed {args.seed}", flush=True)
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
