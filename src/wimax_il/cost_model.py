@@ -1,6 +1,9 @@
 """Structural area-vs-speed estimator for the address-generator datapath.
 
-Two datapath variants of the counter scheme in generator.py are modeled:
+Two datapath variants of the counter scheme in generator.py are modeled.
+Both build the same narrow counter chain (q, its mod-s trackers, s_phase and
+the correction select, in _common_counters) and differ only in the wide
+datapath:
 
   area   one shared add/subtract unit, time-multiplexed round-robin over
          the three wide updates (the d*j remainder pair, the corrected
@@ -232,17 +235,28 @@ def width_bits(cfg: InterleaverConfig) -> int:
 
 
 def _common_counters(g: DatapathGraph, cfg: InterleaverConfig, wrap: str) -> None:
-    """Constants, the narrow dedicated counters shared by both variants
-    (q-mod-s trackers and the j-mod-s counter), and the dv/dv_lo
-    correction select. Each register names its next-value source; the
-    q-mod-s trackers are enabled by wrap, the variant's r-wrap comparator,
-    so that they advance only when q does."""
+    """Constants and the narrow counter chain both variants share: the
+    quotient q, its q-mod-s trackers (v, dv, dv_lo, tv), the j-mod-s counter
+    s_phase and the dv/dv_lo correction select. wrap is the variant's r-wrap
+    comparator: it selects q's increment and enables the trackers, so that
+    they advance only when q does. Each register names its next-value source.
+
+    One block from reset, n_cbps cycles, leaves the speed graph's registers
+    at generator.run's end state: r = 0, q = d, v = d mod s, dv = d*v,
+    dv_lo = d*(v - s), tv = s - v and s_phase = 0. q is not back at its
+    reset value, nor are the trackers unless s divides d, so a second block
+    needs this chain returned to reset first (ROADMAP item 8)."""
     n, d, s = cfg
     constants = {
         "const_d": d, "const_one": 1, "const_s": s, "const_neg_sd": -d * s, "const_n": n, "const_zero": 0,
     }
     for const, value in constants.items():
         g.add(const, NodeKind.CONSTANT, value=value)
+
+    # q = floor(d*j / n_cbps), bumped when r wraps
+    g.add("q", NodeKind.REGISTER, "mux_q")
+    g.add("add_q", NodeKind.ADDER, "q", "const_one")
+    g.add("mux_q", NodeKind.MUX, "q", "add_q", wrap)
 
     # v = q mod s and its derived correction registers, reset when v wraps
     g.add("v", NodeKind.REGISTER, "mux_v", wrap)
@@ -271,19 +285,19 @@ def _common_counters(g: DatapathGraph, cfg: InterleaverConfig, wrap: str) -> Non
 
 
 def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGraph:
-    """Construct the structural graph for one optimization goal.
+    """Construct the structural graph for one optimization goal: the shared
+    counter chain of _common_counters, then the variant's wide datapath.
 
     Node count does not depend on cfg; only datapath width (and so the
     LUT-equivalent estimate) grows with log2(n_cbps * d).
     """
     variant = Variant(variant)
     g = DatapathGraph(variant=variant.value, width_bits=width_bits(cfg))
+    _common_counters(g, cfg, "cmp_r" if variant is Variant.SPEED else "cmp_shared")
 
     if variant is Variant.SPEED:
-        _common_counters(g, cfg, "cmp_r")
         # dedicated wide units; u and q are registered, and addr_out adds them
         g.add("r", NodeKind.REGISTER, "mux_r")
-        g.add("q", NodeKind.REGISTER, "mux_q")
         g.add("pipe_q", NodeKind.REGISTER, "q")
         g.add("add_u", NodeKind.ADDER, "r", "mux_de")
         g.add("pipe_u", NodeKind.REGISTER, "add_u")
@@ -293,14 +307,10 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("sub_r", NodeKind.SUBTRACTOR, "add_r", "const_n")
         g.add("cmp_r", NodeKind.COMPARATOR, "add_r", "const_n")
         g.add("mux_r", NodeKind.MUX, "add_r", "sub_r", "cmp_r")
-        g.add("add_q", NodeKind.ADDER, "q", "const_one")
-        g.add("mux_q", NodeKind.MUX, "q", "add_q", "cmp_r")
     else:
-        _common_counters(g, cfg, "cmp_shared")
         # one shared ALU behind operand mux trees; round-robin over the
         # r-update, the u computation, and the output address
         g.add("r", NodeKind.REGISTER, "mux_wr")
-        g.add("q", NodeKind.REGISTER, "mux_q")
         g.add("addr_out", NodeKind.REGISTER, "mux_wr")
         g.add("mux_a1", NodeKind.MUX, "r", "q")
         g.add("mux_b1", NodeKind.MUX, "mux_de", "const_d")
@@ -309,8 +319,6 @@ def build_datapath(cfg: InterleaverConfig, variant: Variant | str) -> DatapathGr
         g.add("mux_thr", NodeKind.MUX, "const_n", "const_s")
         g.add("cmp_shared", NodeKind.COMPARATOR, "alu", "mux_thr")
         g.add("mux_wr", NodeKind.MUX, "alu", "const_zero", "cmp_shared")
-        g.add("add_q", NodeKind.ADDER, "q", "const_one")
-        g.add("mux_q", NodeKind.MUX, "q", "add_q", "cmp_shared")
     return g
 
 

@@ -59,18 +59,20 @@ class _Table(NamedTuple):
 class AddressTable(_Table):
     """map[i] is the output index of input index i, a full permutation of
     [0, n_cbps) that applies write-side: apply_permutation refuses any other.
-    An immutable named tuple; the length is checked at construction."""
+    An immutable named tuple; the length is checked at construction, and the
+    direction is stored as a Direction, so its plain value such as
+    "interleave" is accepted and any other raises ValueError."""
 
     __slots__ = ()
 
     def __new__(
-        cls, cfg: InterleaverConfig, direction: Direction, map: tuple[int, ...]
+        cls, cfg: InterleaverConfig, direction: Direction | str, map: tuple[int, ...]
     ) -> "AddressTable":
         if len(map) != cfg.n_cbps:
             raise LengthMismatch(
                 f"table has {len(map)} rows, config needs {cfg.n_cbps}"
             )
-        return super().__new__(cls, cfg, direction, map)
+        return super().__new__(cls, cfg, Direction(direction), map)
 
     @classmethod
     def _make(cls, iterable) -> "AddressTable":
@@ -87,9 +89,10 @@ class AddressTable(_Table):
 
 
 @lru_cache(maxsize=1, typed=True)
-def build_table(cfg: InterleaverConfig, direction: Direction) -> AddressTable:
+def build_table(cfg: InterleaverConfig, direction: Direction | str) -> AddressTable:
     """The whole block of interleave_index or deinterleave_index, built by
-    O(d*s) slice assignments rather than one call per index.
+    O(d*s) slice assignments rather than one call per index. direction is a
+    Direction or its value; the table holds it as a Direction.
 
     The last table built is memoized, keyed by the arguments and their
     types, so the second of two calls for one table within a command costs
@@ -116,7 +119,7 @@ def build_table(cfg: InterleaverConfig, direction: Direction) -> AddressTable:
     for c in range(d):
         for t in range(s):
             u = (t - c) % s
-            if direction is Direction.INTERLEAVE:
+            if direction == Direction.INTERLEAVE:
                 out[c + d * t::s * d] = range(rows * c + u, rows * (c + 1), s)
             else:
                 out[rows * c + u:rows * (c + 1):s] = range(c + d * t, n, s * d)

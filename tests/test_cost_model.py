@@ -24,7 +24,7 @@ from wimax_il.cost_model import (
 from wimax_il.errors import CyclicGraph, RangeError
 from wimax_il.reference import Direction, build_table
 
-from conftest import ACCEPTANCE_CONFIGS, all_valid_configs, speed_graph_addresses
+from conftest import ACCEPTANCE_CONFIGS, all_valid_configs
 
 CFG192 = InterleaverConfig(192, 16, 1)
 
@@ -125,8 +125,15 @@ def test_q_mod_s_trackers_advance_only_on_r_wrap():
 )
 def test_speed_graph_is_the_counter_loop(cfg):
     """Run from reset, the speed graph emits the deinterleave map on cycles
-    1..n_cbps: it is generator.run's circuit, u and q registered once."""
-    assert speed_graph_addresses(cfg) == list(build_table(cfg, Direction.DEINTERLEAVE).map)
+    1..n_cbps: it is generator.run's circuit, u and q registered once. After
+    the block its registers hold generator.run's end state, the state a
+    second block must start from reset instead."""
+    trace = list(simulate(build_datapath(cfg, Variant.SPEED), cfg.n_cbps + 1))
+    assert [values["addr_out"] for values in trace[1:]] == list(build_table(cfg, Direction.DEINTERLEAVE).map)
+    d, s = cfg.d, cfg.s
+    v = d % s
+    end = tuple(trace[-1][reg] for reg in ("r", "q", "v", "dv", "dv_lo", "tv", "s_phase"))
+    assert end == (0, d, v, d * v, d * (v - s), s - v, 0)
 
 
 def test_area_graph_does_not_run():

@@ -93,11 +93,28 @@ def test_the_memo_holds_one_table_keyed_by_argument_types():
     itab = build_table(CFG32, Direction.INTERLEAVE)
     assert build_table(CFG32, Direction.INTERLEAVE) is itab
     plain = build_table(CFG32, "interleave")
-    assert plain is not itab and type(plain.direction) is str
+    assert plain is not itab and plain.direction is Direction.INTERLEAVE
     with pytest.raises(AttributeError):
         build_table(tuple(CFG32), Direction.INTERLEAVE)
     assert build_table(CFG32, Direction.INTERLEAVE) is not itab
     assert build_table.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("direction", Direction)
+def test_a_plain_string_direction_builds_the_enum_table(direction):
+    """A direction's plain value builds that direction's table and stores
+    the Direction, so the table serializes and inverts as the enum call's
+    does; any other value raises ValueError."""
+    build_table.cache_clear()
+    plain = build_table(CFG32, direction.value)
+    table = build_table(CFG32, direction)
+    assert plain == table and plain.direction is direction
+    assert serialize_table(plain) == serialize_table(table)
+    assert invert_table(plain) == invert_table(table)
+    with pytest.raises(ValueError):
+        build_table(CFG32, "sideways")
+    with pytest.raises(ValueError):
+        AddressTable(CFG32, "sideways", table.map)
 
 
 def test_bijectivity_and_mutual_inverse_exhaustive():

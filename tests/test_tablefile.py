@@ -237,15 +237,27 @@ def test_the_largest_reference_tables_are_permutations(d, s):
         assert build_table(cfg, direction).is_permutation(), cfg
 
 
-@pytest.mark.parametrize("d,s", [(d, s) for d in ALLOWED_D for s in ALLOWED_S])
-def test_the_largest_admitted_blocks(tmp_path, d, s):
-    """The largest block of each (d, s) the CLI admits: both engines and the
-    inverse of the interleave table give the deinterleave table, the per-index
-    oracle agrees with both tables on every column's first and last s
-    positions and a seeded sample, and a file of the table with two rows
-    swapped reads back as that table."""
-    cfg = InterleaverConfig(d * (MAX_NCBPS // d // s * s), d, s)
-    n, rows = cfg.n_cbps, cfg.n_cbps // d
+def admitted_blocks_above_2304() -> list[InterleaverConfig]:
+    """For each (d, s), the largest block the CLI admits and two admissible
+    blocks drawn, by a fixed seed, between 2304 bits and that one."""
+    rng = random.Random(29)
+    blocks = []
+    for d in ALLOWED_D:
+        for s in ALLOWED_S:
+            rows = range(s * (2304 // d // s + 1), MAX_NCBPS // d + 1, s)
+            blocks += [InterleaverConfig(d * r, d, s) for r in (rows[-1], *sorted(rng.sample(rows[:-1], 2)))]
+    return blocks
+
+
+@pytest.mark.parametrize("cfg", admitted_blocks_above_2304(), ids=InterleaverConfig.as_text)
+def test_the_largest_admitted_blocks(tmp_path, cfg):
+    """Blocks above 2304 bits, up to the largest the CLI admits: both
+    engines and the inverse of the interleave table give the deinterleave
+    table, the per-index oracle agrees with both tables on every
+    column's first and last s positions and a seeded sample, and a file of
+    the table with two rows swapped reads back as that table."""
+    n, d, s = cfg
+    rows = n // d
     deinterleave = build_table(cfg, Direction.DEINTERLEAVE)
     interleave = build_table(cfg, Direction.INTERLEAVE)
     assert run(cfg) == deinterleave
