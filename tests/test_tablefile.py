@@ -237,19 +237,24 @@ def test_the_largest_reference_tables_are_permutations(d, s):
         assert build_table(cfg, direction).is_permutation(), cfg
 
 
-def admitted_blocks_above_2304() -> list[InterleaverConfig]:
-    """For each (d, s), the largest block the CLI admits and two admissible
-    blocks drawn, by a fixed seed, between 2304 bits and that one."""
+def admitted_blocks_above_2304() -> list:
+    """For each (d, s), the largest block the CLI admits, id "d-s", and two
+    admissible blocks drawn by a fixed seed between 2304 bits and that one,
+    id "d-s-n_cbps"."""
     rng = random.Random(29)
     blocks = []
     for d in ALLOWED_D:
         for s in ALLOWED_S:
             rows = range(s * (2304 // d // s + 1), MAX_NCBPS // d + 1, s)
-            blocks += [InterleaverConfig(d * r, d, s) for r in (rows[-1], *sorted(rng.sample(rows[:-1], 2)))]
+            blocks.append(pytest.param(InterleaverConfig(d * rows[-1], d, s), id=f"{d}-{s}"))
+            blocks += [
+                pytest.param(InterleaverConfig(d * r, d, s), id=f"{d}-{s}-{d * r}")
+                for r in sorted(rng.sample(rows[:-1], 2))
+            ]
     return blocks
 
 
-@pytest.mark.parametrize("cfg", admitted_blocks_above_2304(), ids=InterleaverConfig.as_text)
+@pytest.mark.parametrize("cfg", admitted_blocks_above_2304())
 def test_the_largest_admitted_blocks(tmp_path, cfg):
     """Blocks above 2304 bits, up to the largest the CLI admits: both
     engines and the inverse of the interleave table give the deinterleave
