@@ -4,16 +4,22 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 Verification commands never exit 0 when any check fails.
 
 Each command imports only what it runs: the generator, burst and cost-model
-modules are imported inside the handlers that use them.
+modules are imported inside the handlers that use them. COMMANDS describes
+every option once. A well-formed argv (a subcommand, then full long flags of
+it, none twice, each value not starting with "-" and of the option's type
+and choices) is parsed from it directly. argparse is imported, and the
+parser built from COMMANDS, only for any other argv: help, abbreviations,
+--flag=value, negative numbers, "--", repeated flags, unknown tokens, bad
+values and an empty argv. So argparse alone prints help, usage and errors.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import stat
 import sys
 from collections.abc import Iterable
 from functools import cache
+from types import SimpleNamespace
 
 from . import reference
 from .config import DEFAULT_D, DEFAULT_UNIT_DELAY_NS, PRESETS, InterleaverConfig, preset
@@ -57,7 +63,7 @@ def compare_variants(cfg: InterleaverConfig, unit_delay_ns: float):
     return compare_variants(cfg, unit_delay_ns)
 
 
-def _resolve_config(args: argparse.Namespace) -> InterleaverConfig:
+def _resolve_config(args: SimpleNamespace) -> InterleaverConfig:
     explicit = [v for v in (args.ncbps, args.d, args.s) if v is not None]
     if args.preset is not None:
         if explicit:
@@ -68,7 +74,7 @@ def _resolve_config(args: argparse.Namespace) -> InterleaverConfig:
     return InterleaverConfig(args.ncbps, args.d if args.d is not None else DEFAULT_D, args.s)
 
 
-def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_gen(args: SimpleNamespace) -> tuple[int, str]:
     from . import generator
 
     cfg, direction = _resolve_config(args), Direction(args.dir)
@@ -135,7 +141,7 @@ def _verify_table(path: str) -> tuple[int, str]:
     return 0 if all_ok else 1, "\n".join(lines)
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_verify(args: SimpleNamespace) -> tuple[int, str]:
     config_given = any(v is not None for v in (args.ncbps, args.d, args.s, args.preset))
     if (args.table is not None) + args.all_presets + config_given > 1:
         raise RangeError("give one of --table, --all-presets and a config, not more")
@@ -148,7 +154,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     return 0 if all(oks) else 1, "\n".join([*rows, summary])
 
 
-def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_burst(args: SimpleNamespace) -> tuple[int, str]:
     from . import burst
 
     cfg = _resolve_config(args)
@@ -172,7 +178,7 @@ def cmd_burst(args: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def cmd_tradeoff(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_tradeoff(args: SimpleNamespace) -> tuple[int, str]:
     report = compare_variants(_resolve_config(args), args.unit_delay_ns)
     lines = [report.render_text()]
     if args.out is not None:
@@ -181,10 +187,96 @@ def cmd_tradeoff(args: argparse.Namespace) -> tuple[int, str]:
     return 0 if report.ok else 1, "\n".join(lines)
 
 
+# The program's options, described once: per subcommand its help and its
+# options, flag by flag in order, each with its add_argument keyword
+# arguments; the config options come first. build_parser adds them to
+# argparse; _parse_exact reads them directly.
+CONFIG_OPTIONS = {
+    "--ncbps": {"type": int, "help": "coded bits per OFDM symbol"},
+    "--d": {"type": int, "help": f"column count (12 or 16; default {DEFAULT_D})"},
+    "--s": {"type": int, "help": "significance parameter (1, 2, or 3)"},
+    "--preset": {"choices": sorted(PRESETS), "help": "named configuration instead of the explicit triple"},
+}
+COMMANDS = {
+    "gen": ("generate an address table file", {
+        **CONFIG_OPTIONS,
+        "--dir": {
+            "choices": [d.value for d in Direction],
+            "default": Direction.DEINTERLEAVE.value,
+            "help": "permutation direction (default deinterleave)",
+        },
+        "--engine": {
+            "choices": ["reference", "incremental"],
+            "default": "reference",
+            "help": "index math (reference) or counter generator (incremental)",
+        },
+        "--out": {"help": "output path (stdout when omitted)"},
+    }),
+    "verify": ("run invariant checks", {
+        **CONFIG_OPTIONS,
+        "--all-presets": {"action": "store_true", "default": False, "help": "verify every shipped preset"},
+        "--table": {"help": "verify a table file instead"},
+    }),
+    "burst": ("burst-error dispersal sweep", {
+        **CONFIG_OPTIONS,
+        "--b": {"type": int, "help": "burst length to sweep"},
+        "--sweep-max": {"type": int, "help": "sweep every burst length 1..M"},
+        "--out": {"help": "CSV report path"},
+        "--json-out": {"help": "JSON report path"},
+    }),
+    "tradeoff": ("area-vs-speed datapath report", {
+        **CONFIG_OPTIONS,
+        "--out": {"help": "JSON report path"},
+        "--unit-delay-ns": {
+            "type": float,
+            "default": DEFAULT_UNIT_DELAY_NS,
+            "help": f"combinational unit delay (default {DEFAULT_UNIT_DELAY_NS})",
+        },
+    }),
+}
+
+
+def _parse_exact(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for argv, when argv is a subcommand
+    followed by full long flags of it, none twice, each flag that takes a
+    value followed by one that does not start with "-" and passes the
+    option's type and choices. None for any other argv: argparse alone
+    parses it, refuses it or answers it with help."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, options = COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a flag at the end has no value
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0])
+    for flag, kwargs in options.items():
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, kwargs.get("default")))
+    return args
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The program's parser, built once per process and shared by every
-    call, so callers do not change it."""
+def build_parser():
+    """The program's argparse parser, built from COMMANDS once per process
+    and shared by every call, so callers do not change it. Only an argv
+    that _parse_exact declines needs it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="wimax-il",
         description=(
@@ -193,62 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--ncbps", type=int, help="coded bits per OFDM symbol")
-        p.add_argument("--d", type=int, default=None, help=f"column count (12 or 16; default {DEFAULT_D})")
-        p.add_argument("--s", type=int, help="significance parameter (1, 2, or 3)")
-        p.add_argument(
-            "--preset",
-            choices=sorted(PRESETS),
-            help="named configuration instead of the explicit triple",
-        )
-        return p
-
-    p_gen = command("gen", "generate an address table file")
-    p_gen.add_argument(
-        "--dir",
-        choices=[d.value for d in Direction],
-        default=Direction.DEINTERLEAVE.value,
-        help="permutation direction (default deinterleave)",
-    )
-    p_gen.add_argument(
-        "--engine",
-        choices=["reference", "incremental"],
-        default="reference",
-        help="index math (reference) or counter generator (incremental)",
-    )
-    p_gen.add_argument("--out", help="output path (stdout when omitted)")
-
-    p_verify = command("verify", "run invariant checks")
-    p_verify.add_argument(
-        "--all-presets", action="store_true", help="verify every shipped preset"
-    )
-    p_verify.add_argument("--table", help="verify a table file instead")
-
-    p_burst = command("burst", "burst-error dispersal sweep")
-    p_burst.add_argument("--b", type=int, help="burst length to sweep")
-    p_burst.add_argument(
-        "--sweep-max", type=int, help="sweep every burst length 1..M"
-    )
-    p_burst.add_argument("--out", help="CSV report path")
-    p_burst.add_argument("--json-out", help="JSON report path")
-
-    p_trade = command("tradeoff", "area-vs-speed datapath report")
-    p_trade.add_argument("--out", help="JSON report path")
-    p_trade.add_argument(
-        "--unit-delay-ns",
-        type=float,
-        default=DEFAULT_UNIT_DELAY_NS,
-        help=f"combinational unit delay (default {DEFAULT_UNIT_DELAY_NS})",
-    )
-
+    for name, (help, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        for flag, kwargs in options.items():
+            command.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_exact(argv) or build_parser().parse_args(argv, namespace=SimpleNamespace())
     try:
         # the handler is looked up on every call, so a patched cmd_<name> runs
         code, text = globals()[f"cmd_{args.command}"](args)

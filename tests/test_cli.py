@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import wimax_il
 import wimax_il.cli
 from wimax_il import burst, cost_model, generator, reference
-from wimax_il.cli import build_parser, main
+from wimax_il.cli import COMMANDS, CONFIG_OPTIONS, _parse_exact, build_parser, main
 from wimax_il.config import MAX_NCBPS, InterleaverConfig
 from wimax_il.reference import AddressTable, Direction, build_table
 from wimax_il.tablefile import MAX_TABLE_CHARS, read_table, serialize_table
@@ -778,6 +779,172 @@ def test_tradeoff_report_matches_golden_digests(config, delay, tmp_path, capsys)
     assert main([*argv, "--out", str(out)]) == 0
     digests = (hashlib.sha256(text.encode()).hexdigest(), hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests == TRADEOFF_DIGESTS[config, delay]
+
+
+# SHA-256 of stdout and of stderr, and the exit code, of main(argv) with
+# COLUMNS=80, for each argv as a shell line; captured from the parser that
+# called add_argument once per option, before it was built from COMMANDS.
+# The capture command is in tests/golden/README.md.
+HELP_AND_USAGE_DIGESTS = {
+    "--help": (
+        "4b3f306c3b25a3bbc55b9e4263fbabd736e1e18054ec2cc50ee9f9e5011aee1b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "gen --help": (
+        "0c74505dc306b908ec0c298b551fe06882a093ee67bf5bc4b52fae7f38f04a4c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "verify --help": (
+        "206171d4b2ee8a6175e8f3a2ac1a38e83d81a8891b7e8aba545f8ae1e83047d1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "burst --help": (
+        "9d660085b66f826c791b0249049a6ad4a965893ce0b3c4594614da82398ba733",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "tradeoff --help": (
+        "e1355dc950b81db88733eb3b69ae16e74aae1db9126df12d27bdec6a5619023f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "gen --nc 32 --s 1": (
+        "f778791649791c5eb18cdddf4ec1f1b0627f61f22913e0d0305122532c2dfaf7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+    ),
+    "burst --ncbps x --b 1": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a8f8d1103312702e73b26d6d52dcbe38ede85a98a415da8d63d66175fc66f65d",
+        2,
+    ),
+    "gen --dir sideways": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "dbc244afa0400f32efaa2148e025be3bffc3348081ddb47c9837c5fe181ee4af",
+        2,
+    ),
+    "verify --all-presets x": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8ad9f4cd04b22be037cc026d947487201c9601a616e0989bb4e6888298608607",
+        2,
+    ),
+    "": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d973cd4d46e81d579c59cc51a95e8faa7cc77e1fccea03d06b6884838acfb8e7",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("line", HELP_AND_USAGE_DIGESTS, ids=lambda line: line or "empty")
+def test_help_and_usage_match_golden_digests(line, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(line.split())
+        except SystemExit as exc:
+            code = exc.code
+    digests = tuple(hashlib.sha256(text.getvalue().encode()).hexdigest() for text in (out, err))
+    assert (*digests, code) == HELP_AND_USAGE_DIGESTS[line]
+
+
+def argparse_namespace(argv):
+    """What build_parser makes of argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv, namespace=SimpleNamespace())
+        except SystemExit:
+            return None
+
+
+def same_namespace(a, b):
+    """Equal attributes, by repr, so that nan equals nan and 1 is not 1.0."""
+    return {k: repr(v) for k, v in vars(a).items()} == {k: repr(v) for k, v in vars(b).items()}
+
+
+WELL_FORMED = [
+    *([name] for name in COMMANDS),
+    ["gen", "--ncbps", "192", "--d", "16", "--s", "1", "--dir", "interleave",
+     "--engine", "incremental", "--out", "t.csv"],
+    ["gen", "--out", "", "--preset", "qam64"],
+    ["verify", "--all-presets"],
+    ["verify", "--table", "t.csv", "--preset", "qpsk"],
+    ["burst", "--s", " 7", "--ncbps", "1_0", "--b", "3", "--sweep-max", "5", "--out", "a", "--json-out", "b"],
+    ["tradeoff", "--preset", "qpsk", "--unit-delay-ns", "nan", "--out", "x.json"],
+    ["tradeoff", "--unit-delay-ns", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_a_well_formed_argv_is_parsed_without_argparse(argv):
+    args = _parse_exact(argv)
+    assert type(args) is SimpleNamespace
+    assert same_namespace(args, argparse_namespace(argv))
+
+
+# tokens near a well-formed argv that argparse reads otherwise, or refuses
+NEAR_MISSES = ["--nc", "--out=x", "-h", "--", "bogus"]
+VALUES = ["32", "-1", "-inf", "nan", "1_0", " 7", "0x10", "", "1.5", "--ncbps", "qpsk", "qam1024",
+          "incremental", "sideways"]
+
+
+def fitting_values(kwargs):
+    """Values the option takes: its choices, or one of its type."""
+    return kwargs.get("choices") or {int: ["32"], float: ["2.5"]}.get(kwargs.get("type"), ["t.csv"])
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, or a near miss of one, then some of its flags in any
+    order. A flag mostly takes a value that fits it (a switch none), else
+    one of VALUES (a switch too); or it gives way to a flag of any
+    subcommand or a near miss, alone."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus", "-h", "--help"]))
+    _, own = COMMANDS.get(command, ("", CONFIG_OPTIONS))
+    every = sorted({flag for _, options in COMMANDS.values() for flag in options})
+    argv = [command] if draw(st.integers(0, 9)) else []
+    flags = draw(st.permutations(sorted(own)))
+    for flag in flags[:draw(st.integers(0, len(flags)))]:
+        step = draw(st.integers(0, 9))
+        if step == 0:
+            argv.append(draw(st.sampled_from(every + NEAR_MISSES)))
+            continue
+        argv.append(flag)
+        if step > 2 and own[flag].get("action") == "store_true":
+            continue
+        argv.append(draw(st.sampled_from(fitting_values(own[flag]) if step > 2 else VALUES)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=argvs())
+def test_the_exact_parser_agrees_with_argparse_or_declines(argv):
+    args = _parse_exact(argv)
+    if args is not None:
+        expected = argparse_namespace(argv)
+        assert expected is not None, argv
+        assert same_namespace(args, expected), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--help"], ["gen", "-h"], ["gen", "--nc", "32"], ["gen", "--out=x"],
+    ["burst", "--b", "-1"], ["gen", "--", "--out", "x"], ["verify", "--table", "a", "--table", "b"],
+    ["verify", "--all-presets", "--all-presets"], ["verify", "--all-presets", "x"],
+    ["verify", "--dir", "interleave"], ["gen", "--s", "x"], ["gen", "--dir", "sideways"], ["gen", "--out"],
+])
+def test_the_exact_parser_leaves_every_other_argv_to_argparse(argv):
+    assert _parse_exact(argv) is None
+
+
+@pytest.mark.parametrize("argv", [["verify", "--preset", "qpsk"], ["verify", "--preset=qpsk"]])
+def test_no_argv_reads_the_command_line(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["wimax-il", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out.endswith("PASS: 1/1 configs clean\n")
 
 
 def test_unknown_subcommand_exits_2():
