@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import tempfile
@@ -92,6 +93,16 @@ def test_gen_writes_expected_prefix(tmp_path, capsys):
     assert code == 0
     table = read_table(str(out))
     assert table.map[:4] == (0, 16, 1, 17)
+
+
+def test_an_output_file_is_created_with_the_mode_of_open_w(tmp_path, capsys):
+    """Read and write for everyone, less the umask, as open(path, "w") makes it."""
+    old = os.umask(0)
+    try:
+        assert main(["gen", "--preset", "qpsk", "--out", str(tmp_path / "t.csv")]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "t.csv").stat().st_mode) == 0o666
 
 
 def test_gen_engines_are_byte_identical(tmp_path, monkeypatch):
@@ -391,6 +402,9 @@ def test_burst_exit_codes(capsys):
     assert "worst max_run_length=1" in out
     assert "holds" in out
     assert main(["burst", "--ncbps", "192", "--d", "16", "--s", "1", "--b", "0"]) == 2
+    # a sweep of one length is a sweep
+    assert main(["burst", "--ncbps", "192", "--d", "16", "--s", "1", "--sweep-max", "1"]) == 0
+    assert main(["burst", "--ncbps", "192", "--d", "16", "--s", "1", "--sweep-max", "0"]) == 2
 
 
 def test_burst_sweep_reports(tmp_path, capsys):
@@ -512,6 +526,10 @@ def test_burst_refuses_a_hard_link_for_both_reports(tmp_path, monkeypatch, capsy
     assert captured.out == ""
     assert captured.err == "error: --out and --json-out name the same file, a.csv\n"
     assert Path("a.csv").read_text() == "kept\n"
+    # an existing file and a new one are two files
+    assert main(["burst", "--ncbps", "32", "--s", "1", "--b", "3",
+                 "--out", "a.csv", "--json-out", "c.json"]) == 0
+    assert Path("a.csv").read_text() != "kept\n" and Path("c.json").exists()
 
 
 def test_both_reports_share_the_start_strings(tmp_path, monkeypatch):
