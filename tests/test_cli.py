@@ -917,8 +917,8 @@ def fitting_values(kwargs):
 
 @st.composite
 def argvs(draw):
-    """A subcommand, or a near miss of one, then some of its flags in any
-    order. A flag mostly takes a value that fits it (a switch none), else
+    """A subcommand or a near miss of one, left out once in ten, then some
+    of the subcommand's flags in any order. A flag mostly takes a value that fits it (a switch none), else
     one of VALUES (a switch too); or it gives way to a flag of any
     subcommand or a near miss, alone."""
     command = draw(st.sampled_from([*COMMANDS, "bogus", "-h", "--help"]))
