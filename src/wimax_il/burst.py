@@ -172,6 +172,22 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
     L - 1 reads its start P as start 0; where L keeps fewer, the step cuts
     the column to n - L + 1 entries. Spans are gathered only for windows
     that start below P.
+
+    Both of those bounds hold with one to spare. In one row each next bit
+    sits rows - 1 or rows + s - 1 higher, and a row wrap drops from column
+    d - 1 into column 0, whose row a holds position a. So a run at or past
+    position P is in one row, at columns c0..c1. Start P then never has a
+    longer run than start P - 1 at length L - 1: for c0 > s, columns
+    c0 - 1..c1 - 1 of the same row lie in [P - 1, P + L - 3]; for c0 = s,
+    so do columns s..c1 of the row whose bit in column c1 sits one position
+    lower, or, when the run's bit is the first of column c1, columns
+    s - 1..c1 - 1 of the row at P - 1, the last position of column s - 1.
+    And a span counted from the bit at position P + last - 2 can only be
+    [P - 1, P + last - 2] with that bit on top, so its next bit is lower:
+    it wraps into column 0 at P - 1, which forces s = 1 and the wrap from
+    row rows - 2. That row's bits in columns 1..d - 2 lie in the same
+    window, so the run from its column 1, which starts lower, spans the
+    window with d - 2 more bits.
     """
     n = cfg.n_cbps
     last = b if last is None else last

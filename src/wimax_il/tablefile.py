@@ -13,12 +13,15 @@ bit, in index order:
 The format is canonical, and parse_table enforces it: text is accepted
 only if the parsed table serializes back to exactly the same bytes, so
 CRLF line endings, a missing final newline, signs, padding, underscores,
-leading zeros and extra header fields are all rejected. A file equal to
-the text of the reference table its header names is compared whole and
-accepted as that table, never split into rows; any other file is split
-into lines, compared with the reference text, and only the lines that
-differ are parsed and checked. The same table always serializes to the
-same bytes regardless of which engine produced it.
+leading zeros and extra header fields are all rejected. The header is
+read once, from the text's first three lines. A file equal to the text of
+the reference table its header names is compared whole and accepted as
+that table, never split into rows. Any other file is split into lines
+once; its row count is checked before the reference is built, unless it
+holds as many newlines as the reference text and was compared with it
+first. Its lines are compared with the reference text's, and only the
+lines that differ are parsed and checked. The same table always
+serializes to the same bytes regardless of which engine produced it.
 Values are not range-checked at parse time; verification (permutation
 and reference checks) is the verify command's job.
 """
@@ -58,14 +61,17 @@ def parse_table(text: str) -> AddressTable:
     deviation (wrong header, bad row count, or any bytes that the parsed
     table would not serialize back to).
 
-    Text equal to the serialized reference table of the header's config
-    and direction is that table, since canonical text parses to the one
-    map that serializes to it. Such text is compared whole and never split
-    into rows: its header is read from text.split("\n", 3) and its rows
-    counted by "\n". Any other text, or text whose header lines hold
-    another of the line boundaries str.splitlines honours, is split with
-    splitlines and its row count checked; the reference is built only
-    then, so a file short of the rows its header names never builds it.
+    The header is read once, as the str.splitlines lines of the text up to
+    and including its third newline: since that prefix ends at a line
+    boundary, they are the first lines of the whole text. Text equal to
+    the serialized reference table of the header's config and direction
+    is that table, since canonical text parses to the one map that
+    serializes to it. The reference is built first only when the text
+    holds as many newlines as that table's text, and such text is
+    compared whole, so a valid file is never split into rows. Any other
+    text is split with splitlines once, for its row count and for the
+    line comparison; a reference not yet built is built after the row
+    count, so no build exceeds the file's own size.
     The text's lines are compared with the reference text's, and only the
     lines that differ are parsed and checked: a line equal to its
     reference line is canonical and parses to the reference value. The
@@ -73,13 +79,11 @@ def parse_table(text: str) -> AddressTable:
     differing row is converted, in line order, before a line is reported,
     so a bad row address is reported before a line that is not canonical,
     and the first line that would not serialize back is the one named."""
-    lines = text.split("\n", 3)
-    # canonical text has four such parts and no other line boundary
-    fast = len(lines) == 4 and lines[3] != "" and "\n".join(lines[:3]).splitlines() == lines[:3]
-    if not fast:
-        got = text.splitlines(True)
-        lines = [line.splitlines()[0] for line in got[:4]]
-    if len(lines) < 4:
+    end = 0  # just past the third "\n", or the text's end
+    for _ in range(3):
+        end = text.find("\n", end) + 1 or len(text)
+    lines = text[:end].splitlines()
+    if len(lines) + (end < len(text)) < 4:  # text past the prefix is one more line
         raise TableFormatError("file too short to be an address table")
     if lines[0] != FORMAT_LINE:
         raise TableFormatError(f"unknown format line {lines[0]!r}")
@@ -104,15 +108,14 @@ def parse_table(text: str) -> AddressTable:
         raise TableFormatError(f"unknown direction {dirname!r}") from exc
 
     reference = None
-    if fast:
-        if text.count("\n") == cfg.n_cbps + 3:
-            reference = build_table(cfg, direction)
-            reference_text = serialize_table(reference)
-            if reference_text == text:
-                return reference
-            want = reference_text.splitlines(True)
-            del reference_text  # so that no more than the two line lists are held
-        got = text.splitlines(True)
+    if text.count("\n") == cfg.n_cbps + 3:
+        reference = build_table(cfg, direction)
+        reference_text = serialize_table(reference)
+        if reference_text == text:
+            return reference
+        want = reference_text.splitlines(True)
+        del reference_text  # so that no more than the two line lists are held
+    got = text.splitlines(True)
     if len(got) != cfg.n_cbps + 3:
         raise TableFormatError(
             f"expected {cfg.n_cbps} rows, found {len(got) - 3}"

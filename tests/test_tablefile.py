@@ -450,6 +450,22 @@ def test_parse_agrees_with_the_naive_parse_on_every_other_line_boundary(place, b
     assert outcome(parse_table, text) == outcome(naive_parse, text)
 
 
+def test_parse_agrees_with_the_naive_parse_on_short_texts():
+    """The first one to five lines of a table, the first few of them ended
+    by a newline and the rest by another boundary, with and without the
+    last line's ending: a text of fewer than three newlines, or with
+    nothing past the header, is too short exactly when it holds fewer than
+    four lines."""
+    head = CFG32_TEXT.splitlines()[:5]
+    for k in range(1, 6):
+        for newlines in range(k + 1):
+            for boundary in OTHER_BREAKS:
+                ends = ["\n"] * newlines + [boundary] * (k - newlines)
+                text = "".join(map(str.__add__, head[:k], ends))
+                for cut in (text, text.removesuffix(ends[-1])):
+                    assert outcome(parse_table, cut) == outcome(naive_parse, cut), repr(cut)
+
+
 @given(data=st.data())
 def test_parse_agrees_with_the_naive_parse_on_edited_text(data):
     """One to three inserted, deleted or replaced characters, drawn mostly
