@@ -368,7 +368,7 @@ def op_census(cfg: InterleaverConfig) -> Counter:
             live.add(name)
             kind, inputs, _ = g.nodes[name]
             if kind is NodeKind.MUX:  # its select, and the input it selects
-                inputs = (inputs[2], inputs[1] if values[inputs[2]] else inputs[0])
+                inputs = (inputs[2], PRIMITIVES[NodeKind.MUX].rule(*inputs[:2], values[inputs[2]]))
             frontier += inputs
         census.update(map(ops.__getitem__, live))
     return census

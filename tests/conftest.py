@@ -1,5 +1,7 @@
 import ast
+import importlib.util
 import inspect
+from pathlib import Path
 
 from wimax_il.config import InterleaverConfig
 from wimax_il.cost_model import Variant, build_datapath, simulate
@@ -14,16 +16,30 @@ ACCEPTANCE_CONFIGS = [
     InterleaverConfig(1152, 16, 3),
 ]
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_module(name: str, path: str):
+    """The Python file at path, relative to the repository root, loaded as
+    a module called name."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the one list of admitted configs, and the one check that the engines agree
+fullcheck = load_module("fullcheck", "tools/fullcheck.py")
+
 
 def all_valid_configs(max_n: int = 2048) -> list[InterleaverConfig]:
     """Every (n_cbps, d, s) accepted by validation with n_cbps <= max_n."""
-    out = []
-    for d in (12, 16):
-        for n in range(2 * d, max_n + 1, d):
-            for s in (1, 2, 3):
-                if (n // d) % s == 0:
-                    out.append(InterleaverConfig(n, d, s))
-    return out
+    return fullcheck.valid_configs(max_n)
+
+
+def swap_first_two(table):
+    a, b, *rest = table.map
+    return table._replace(map=(b, a, *rest))
 
 
 def loop_div_mul(func) -> list[str]:

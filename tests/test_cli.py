@@ -24,7 +24,7 @@ from wimax_il.config import MAX_NCBPS, InterleaverConfig
 from wimax_il.reference import AddressTable, Direction, build_table
 from wimax_il.tablefile import MAX_TABLE_CHARS, read_table, serialize_table
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, swap_first_two
 
 
 def test_each_subcommand_options_defaults_and_handler(monkeypatch):
@@ -174,11 +174,6 @@ def test_verify_all_presets(capsys):
     assert main(["verify", "--all-presets"]) == 0
     out = capsys.readouterr().out
     assert "PASS: 3/3 configs clean" in out
-
-
-def swap_first_two(table):
-    a, b, *rest = table.map
-    return table._replace(map=(b, a, *rest))
 
 
 def duplicate_an_interleave_address(table):

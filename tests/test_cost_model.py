@@ -136,6 +136,17 @@ def test_speed_graph_is_the_counter_loop(cfg):
     assert end == (0, d, v, d * v, d * (v - s), s - v, 0)
 
 
+@pytest.mark.parametrize("cfg", all_valid_configs(768), ids=lambda cfg: cfg.as_text())
+def test_the_speed_graphs_wrap_subtractor_only_ever_gives_0(cfg):
+    """Over two blocks, sub_r = r + d - n_cbps is 0 on every cycle where
+    cmp_r selects it: d divides n_cbps, so r + d never passes n_cbps. mux_r
+    could select const_zero, as the area sketch's mux_wr does, and drop one
+    subtractor; that would move every tradeoff byte and the op census."""
+    trace = simulate(build_datapath(cfg, Variant.SPEED), 2 * cfg.n_cbps)
+    wraps = [values["sub_r"] for values in trace if values["cmp_r"]]
+    assert wraps == [0] * (2 * cfg.d)
+
+
 def test_area_graph_does_not_run():
     """Its operand muxes have no select; simulate names the first one."""
     with pytest.raises(RangeError, match="^mux 'mux_a1' has 2 inputs, not 3$"):

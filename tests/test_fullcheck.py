@@ -2,30 +2,15 @@
 config the CLI admits, passes the engines as they are, and reports a broken
 engine or a per-index oracle wrong at a column end. The full run is not
 part of tier-1: it takes minutes."""
-import importlib.util
-from pathlib import Path
-
-from conftest import all_valid_configs
+from conftest import all_valid_configs, fullcheck, swap_first_two
 from wimax_il.config import InterleaverConfig
-from wimax_il.reference import AddressTable, Direction, deinterleave_index, interleave_index
+from wimax_il.reference import Direction, deinterleave_index, interleave_index
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_fullcheck():
-    spec = importlib.util.spec_from_file_location("fullcheck", ROOT / "tools" / "fullcheck.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-fullcheck = load_fullcheck()
 CFG = InterleaverConfig(576, 16, 3)
 
 
 def test_the_full_check_runs_on_every_admitted_config():
     assert len(fullcheck.valid_configs()) == 17_518
-    assert fullcheck.valid_configs(768) == all_valid_configs(768)
 
 
 def test_the_engines_pass_the_full_check():
@@ -34,11 +19,7 @@ def test_the_engines_pass_the_full_check():
 
 
 def test_a_wrong_engine_is_reported(monkeypatch):
-    def swapped(cfg):
-        a, b, *rest = fullcheck.build_table(cfg, Direction.DEINTERLEAVE).map
-        return AddressTable(cfg, Direction.DEINTERLEAVE, (b, a, *rest))
-
-    monkeypatch.setattr(fullcheck, "run", swapped)
+    monkeypatch.setattr(fullcheck, "run", lambda cfg: swap_first_two(fullcheck.build_table(cfg, Direction.DEINTERLEAVE)))
     assert fullcheck.check(CFG) == [
         "576,16,3: generator.run differs from build_table",
         "576,16,3: invert_table differs from build_table",

@@ -1,19 +1,12 @@
 """The mutation sampler in tools/mutants.py, on a small fixture: each mutant
 changes one token and leaves a file that parses, with its comments and
 strings intact. No sample is run here: one mutant is one tier-1 run."""
-import importlib.util
 import io
 import tokenize
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, load_module
 
-
-def load_mutants():
-    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+mutants = load_module("mutants", "tools/mutants.py")
 
 
 FIXTURE = '''"""A docstring with < and + and 3, which no mutant touches."""
@@ -36,7 +29,6 @@ def tokens(source):
 
 
 def test_each_mutant_changes_one_token_and_parses():
-    mutants = load_mutants()
     sites = mutants.sites(FIXTURE)
     assert sites
     comments = [t.string for t in tokens(FIXTURE) if t.type in (tokenize.COMMENT, tokenize.STRING)]
@@ -51,7 +43,6 @@ def test_each_mutant_changes_one_token_and_parses():
 
 
 def test_every_kind_of_site_is_found_and_none_that_would_not_parse():
-    mutants = load_mutants()
     flips = {(m.old, m.new) for m in mutants.sites(FIXTURE)}
     assert {("<", "<="), (">=", ">"), ("!=", "=="), ("==", "!=")} <= flips  # comparisons
     assert {("+", "-"), ("*", "//"), ("//", "*"), ("%", "//"), ("**", "*"), ("-=", "+=")} <= flips
@@ -65,7 +56,6 @@ def test_every_kind_of_site_is_found_and_none_that_would_not_parse():
 
 
 def test_the_draw_is_fixed_by_the_seed():
-    mutants = load_mutants()
     sites = mutants.sites(FIXTURE)
     assert mutants.draw(sites, 3, 5) == mutants.draw(sites, 3, 5)
     assert sorted(mutants.draw(sites, 3, 100)) == sorted(sites)
@@ -74,7 +64,6 @@ def test_the_draw_is_fixed_by_the_seed():
 def test_every_allowed_survivor_names_a_line_of_its_file():
     """An entry whose line is gone no longer matches any mutant: update the
     list with the code. Each entry's mutant still parses in place."""
-    mutants = load_mutants()
     for (path, line, mutant), reason in mutants.load_allowed().items():
         source = (ROOT / path).read_text(encoding="utf-8")
         matches = [text for text in source.splitlines(True) if text.strip() == line]

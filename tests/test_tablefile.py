@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import all_valid_configs
+from conftest import all_valid_configs, fullcheck, swap_first_two
 from wimax_il import tablefile
 from wimax_il.cli import _write
 from wimax_il.config import ALLOWED_D, ALLOWED_S, MAX_NCBPS, InterleaverConfig
@@ -165,11 +165,6 @@ def test_parse_rejects_malformed(mutation):
     assert str(excinfo.value) == mutation.message
 
 
-def swap_first_two(table):
-    a, b, *rest = table.map
-    return table._replace(map=(b, a, *rest))
-
-
 def test_parse_gives_back_the_reference_table_or_the_one_that_differs():
     for cfg in all_valid_configs(768):
         for direction in Direction:
@@ -242,38 +237,31 @@ def admitted_blocks_above_2304() -> list:
     admissible blocks drawn by a fixed seed between 2304 bits and that one,
     id "d-s-n_cbps"."""
     rng = random.Random(29)
+    above = [cfg for cfg in fullcheck.valid_configs() if cfg.n_cbps > 2304]
     blocks = []
     for d in ALLOWED_D:
         for s in ALLOWED_S:
-            rows = range(s * (2304 // d // s + 1), MAX_NCBPS // d + 1, s)
-            blocks.append(pytest.param(InterleaverConfig(d * rows[-1], d, s), id=f"{d}-{s}"))
-            blocks += [
-                pytest.param(InterleaverConfig(d * r, d, s), id=f"{d}-{s}-{d * r}")
-                for r in sorted(rng.sample(rows[:-1], 2))
-            ]
+            ds = [cfg for cfg in above if (cfg.d, cfg.s) == (d, s)]
+            blocks.append(pytest.param(ds[-1], id=f"{d}-{s}"))
+            blocks += [pytest.param(cfg, id=f"{d}-{s}-{cfg.n_cbps}") for cfg in sorted(rng.sample(ds[:-1], 2))]
     return blocks
 
 
 @pytest.mark.parametrize("cfg", admitted_blocks_above_2304())
 def test_the_largest_admitted_blocks(tmp_path, cfg):
-    """Blocks above 2304 bits, up to the largest the CLI admits: both
-    engines and the inverse of the interleave table give the deinterleave
-    table, the per-index oracle agrees with both tables on every
-    column's first and last s positions and a seeded sample, and a file of
-    the table with two rows swapped reads back as that table."""
+    """Blocks above 2304 bits, up to the largest the CLI admits: the engines
+    pass tools/fullcheck.py's check, the inverse of the interleave table is
+    the deinterleave table, the per-index oracle agrees with both tables on
+    a seeded sample, and a file of the table with two rows swapped reads
+    back as that table."""
     n, d, s = cfg
-    rows = n // d
+    assert fullcheck.check(cfg) == []
     deinterleave = build_table(cfg, Direction.DEINTERLEAVE)
     interleave = build_table(cfg, Direction.INTERLEAVE)
-    assert run(cfg) == deinterleave
     assert invert_table(interleave) == deinterleave
-    ends = [*range(s), *range(rows - s, rows)]  # each column's first and last s rows
-    sample = random.Random(n * d + s).sample(range(n), 200)
-    # column c is k = c + d*r on the interleave side, j = rows*c + r on the other
-    for k in {c + d * r for c in range(d) for r in ends}.union(sample):
-        assert interleave.map[k] == interleave_index(cfg, k), (cfg, k)
-    for j in {rows * c + r for c in range(d) for r in ends}.union(sample):
-        assert deinterleave.map[j] == deinterleave_index(cfg, j), (cfg, j)
+    for i in random.Random(n * d + s).sample(range(n), 200):
+        assert interleave.map[i] == interleave_index(cfg, i), (cfg, i)
+        assert deinterleave.map[i] == deinterleave_index(cfg, i), (cfg, i)
     swapped = swap_first_two(deinterleave)
     path = tmp_path / "table.csv"
     _write(str(path), serialize_table(swapped))

@@ -3,26 +3,18 @@ attribute where each caller looks it up. Every name it patches must exist,
 and every patched name must still be reached through that attribute, so that
 a rename or a bypass fails here and not only in a traced benchmark run."""
 import importlib
-import importlib.util
-from pathlib import Path
 
 import wimax_il.cli
 from wimax_il import reference
 from wimax_il.burst import burst_sweep
 from wimax_il.config import InterleaverConfig
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+from conftest import load_module
 
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+spans = load_module("perfbench_spans", "perfbench/spans.py")
 
 
 def test_traced_entry_points_resolve():
-    spans = load_spans()
     hooks = [(module, attr) for _, module, attr, _ in spans.LAYERS]
     hooks.append(spans.INDEX_FN)
     for module, attr in hooks:
@@ -30,7 +22,6 @@ def test_traced_entry_points_resolve():
 
 
 def test_traced_pass_reaches_every_layer(tmp_path, capsys):
-    spans = load_spans()
     triple = ["--ncbps", "32", "--d", "16", "--s", "1"]
     table = tmp_path / "t.csv"
     with spans.Tracer() as tracer:
@@ -55,7 +46,6 @@ def test_traced_pass_reaches_every_layer(tmp_path, capsys):
 def test_burst_sweep_is_one_traced_call_over_every_report(capsys):
     """burst --sweep-max makes one burst_sweep call, whose work is every
     report of the command: the benchmark's us_per_report rests on this."""
-    spans = load_spans()
     with spans.Tracer() as tracer:
         assert wimax_il.cli.main(
             ["burst", "--ncbps", "32", "--d", "16", "--s", "1", "--sweep-max", "2"]
