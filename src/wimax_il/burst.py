@@ -14,15 +14,19 @@ The report is written here too: summary_lines for stdout, csv_chunks and
 json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
 names the per-start fields once, in order, for the CSV header, its rows
 and the JSON keys. A row after its start column depends only on b,
-max_run and min_spacing: each length formats the tails of its column once,
-each distinct (max_run, min_spacing) pair once, and joins them, cycled over
-every start, to start strings made once for both reports.
+max_run and min_spacing. A writer joins each block from a list of two
+pieces per row, head + start and then tail + separator. The first block's
+list is made once per writer call, its starts taken from strings made once
+for both reports, and reused by every swept length, which rewrites only
+its tail slots: its column's tails, formatted in one pass with each
+distinct (max_run, min_spacing) pair formatted once, cycled over its
+starts.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, cycle, repeat
 from operator import sub
 from typing import NamedTuple
 
@@ -221,18 +225,19 @@ def burst_sweep(cfg: InterleaverConfig, b: int, last: int | None = None) -> Swee
         gaps = [n] * scored  # no pair yet: the first pair sets the gap
     # spans[L][s] for b < L <= last and s < period: each run of original bits
     # v, v + 1, ... grows one bit at a time until its channel positions span
-    # over last
-    pos = build_table(cfg, Direction.INTERLEAVE).map  # the inverse of dmap
+    # over last; a single length reads none
     spans: list[dict[int, int]] = [{} for _ in range(last + 1)]
-    for v in dmap[:period + last - 1] if last > b else ():
-        lo = hi = pos[v]
-        for w, p in enumerate(pos[v + 1:v + last], 2):
-            lo = p if p < lo else lo
-            hi = p if p > hi else hi
-            if hi - lo >= last:
-                break
-            if hi - lo >= b and lo < period and spans[hi - lo + 1].get(lo, 0) < w:
-                spans[hi - lo + 1][lo] = w
+    if last > b:
+        pos = build_table(cfg, Direction.INTERLEAVE).map  # the inverse of dmap
+        for v in dmap[:period + last - 1]:
+            lo = hi = pos[v]
+            for w, p in enumerate(pos[v + 1:v + last], 2):
+                lo = p if p < lo else lo
+                hi = p if p > hi else hi
+                if hi - lo >= last:
+                    break
+                if hi - lo >= b and lo < period and spans[hi - lo + 1].get(lo, 0) < w:
+                    spans[hi - lo + 1][lo] = w
     for length in range(b + 1, last + 1):
         # start period of length - 1 reads as start 0
         runs = [x if x > y else y for x, y in zip(runs, runs[1:] + runs[:1])]
@@ -274,34 +279,61 @@ def _first_starts(count: int) -> tuple[str, ...]:
     return tuple(map(str, range(count)))
 
 
-def _rows(result: SweepResult, i: int, template: str, separator: str, flag: tuple) -> Iterator[str]:
-    """The reports of result's i-th swept length in blocks of at most
-    BLOCK_ROWS, each one join of separator + head, start and tail per row.
-    The template splits at its start slot into the head and the tail;
-    rs_correctable follows from max_run, so a tail depends on (max_run,
-    min_spacing) alone: b baked in, then max_run, min_spacing,
-    flag[correctable]. The tails of the column's rows are formatted once,
-    each distinct pair once, and every block cycles them from its own
-    offset lo mod len(column), over all n_cbps - b + 1 starts. The first
-    block takes its start strings from _first_starts; later blocks format
-    theirs. Every row but the length's first begins with the separator, so
-    that the blocks join to the length's rows."""
-    b, runs, gaps = result.lengths[i], result.runs[i], result.gaps[i]
-    count = result.cfg.n_cbps - b + 1
-    starts = _first_starts(min(result.cfg.n_cbps, BLOCK_ROWS))
+class _Tails(dict):
+    """One swept length's row tails by (max_run, min_spacing), each
+    formatted from template on first use: template has b baked in and slots
+    for max_run, min_spacing and flag[correctable]."""
+
+    def __init__(self, template: str, flag: tuple) -> None:
+        super().__init__()
+        self.template, self.flag = template, flag
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        run, gap = pair
+        text = self[pair] = self.template % (run, gap, self.flag[run <= RS_MAX_CORRECTABLE_RUN])
+        return text
+
+
+def _rows(result: SweepResult, template: str, separator: str, flag: tuple) -> Iterator[Iterator[str]]:
+    """Per swept length of result, an iterator over its reports in blocks of
+    at most BLOCK_ROWS, each block one join of a piece list with two pieces
+    per row: head + start, then tail + separator, where the length's last
+    row drops the separator. The template splits at its start slot into the
+    head and the tail; rs_correctable follows from max_run, so a tail
+    depends on (max_run, min_spacing) alone, and each length formats its
+    column's tails in one pass, each distinct pair on first use (_Tails).
+    The first block's piece list is made once per call, its start pieces
+    from _first_starts; each length rewrites only its tail slots, cycled
+    over its starts, and cuts the list to its row count. Later blocks make
+    their own start pieces. A length's blocks are to be taken before the
+    next length's, which reuse the list."""
+    n = result.cfg.n_cbps
     head, tail = template.split("%s", 1)
-    tail = tail % (b, "%d", "%d", "%s")
-    pairs = list(zip(runs, gaps))
-    tail_of = {pair: tail % (*pair, flag[pair[0] <= RS_MAX_CORRECTABLE_RUN]) for pair in set(pairs)}
-    tails = list(map(tail_of.__getitem__, pairs))
+    first = min(n, BLOCK_ROWS)
+    pieces = [""] * (2 * first)
+    pieces[::2] = map(head.__add__, _first_starts(first))
+    for b, runs, gaps in zip(result.lengths, result.runs, result.gaps):
+        tails = _Tails(tail % (b, "%d", "%d", "%s") + separator, flag)
+        yield _blocks(pieces, head, separator, list(map(tails.__getitem__, zip(runs, gaps))), n - b + 1)
+
+
+def _blocks(pieces: list[str], head: str, separator: str, tails: list[str], count: int) -> Iterator[str]:
+    """count rows in blocks of at most BLOCK_ROWS, row j with start j and
+    tail tails[j % len(tails)]: the first block in pieces, whose start slots
+    already hold the first block's heads and starts."""
     for lo in range(0, count, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, count)
-        pieces = [separator + head, "", ""] * (hi - lo)
-        pieces[1::3] = starts[:hi] if lo == 0 else map(str, range(lo, hi))
-        pieces[2::3] = islice(cycle(tails), lo % len(tails), hi - lo + lo % len(tails))
-        if lo == 0:
-            pieces[0] = head
-        yield "".join(pieces)
+        rows = min(BLOCK_ROWS, count - lo)
+        if lo:
+            block = [""] * (2 * rows)
+            block[::2] = [head + str(start) for start in range(lo, lo + rows)]
+        else:
+            block = pieces
+            del block[2 * rows:]
+        at = lo % len(tails)  # whole columns up to at + rows, then the block's part
+        block[1::2] = (tails * -(-(at + rows) // len(tails)))[at:at + rows]
+        if lo + rows == count:
+            block[-1] = block[-1].removesuffix(separator)
+        yield "".join(block)
 
 
 def csv_chunks(result: SweepResult) -> Iterator[str]:
@@ -313,8 +345,8 @@ def csv_chunks(result: SweepResult) -> Iterator[str]:
         f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
         f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
     )
-    for i in range(len(result.lengths)):
-        yield from _rows(result, i, _CSV_ROW, "", (0, 1))
+    for blocks in _rows(result, _CSV_ROW, "", (0, 1)):
+        yield from blocks
 
 
 def json_chunks(result: SweepResult) -> Iterator[str]:
@@ -333,10 +365,11 @@ def json_chunks(result: SweepResult) -> Iterator[str]:
     # header[:-2] drops the closing "\n}" so that "sweeps" joins the object
     yield f'{header[:-2]},\n  "sweeps": [\n'
     separator = ""
-    for i, (b, worst) in enumerate(zip(result.lengths, result.worst_runs)):
+    lengths = _rows(result, _JSON_REPORT, ",\n", _JSON_BOOL)
+    for b, worst, blocks in zip(result.lengths, result.worst_runs, lengths):
         yield separator + _JSON_SWEEP % (b, worst)
         # apart from the sweep's frame, so that no block is copied
-        yield from _rows(result, i, _JSON_REPORT, ",\n", _JSON_BOOL)
+        yield from blocks
         yield "\n      ]\n    }"
         separator = ",\n"
     yield "\n  ]\n}\n"

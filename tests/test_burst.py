@@ -175,6 +175,22 @@ def test_sweep_scores_each_start_once_and_maps_each_position_once(triple, first,
     assert calls == {"window_stats": scored, "deinterleave_index": 0}
 
 
+@pytest.mark.parametrize("first,last", [(8, 8), (1, 1), (8, 9)])
+def test_only_a_sweep_of_several_lengths_builds_the_interleave_table(first, last, monkeypatch):
+    """The interleave table serves only the spans of lengths past the first,
+    so a single-length sweep such as burst --b 8 builds the deinterleave
+    table alone."""
+    built = []
+
+    def recorded(cfg, direction):
+        built.append(Direction(direction))
+        return build_table(cfg, direction)
+
+    monkeypatch.setattr(burst, "build_table", recorded)
+    burst_sweep(preset("qpsk"), first, last)
+    assert built == [Direction.DEINTERLEAVE] + [Direction.INTERLEAVE] * (last > first)
+
+
 @pytest.mark.parametrize("cfg", all_valid_configs(1152), ids=lambda cfg: cfg.as_text())
 def test_first_failing_length_law(cfg):
     """The first burst length that leaves two original-adjacent bits side by
@@ -268,6 +284,20 @@ def test_sweep_32_burst3_breaks_guarantee():
 
 
 @pytest.mark.parametrize(
+    "cfg,first,last,guarantee",
+    [
+        (preset("qam16"), 1, 3, None),  # s = 2: no guarantee to state
+        (CFG32, 3, 4, None),  # s = 1, but every length is past rows = 2
+        (CFG32, 1, 3, "s=1 dispersal guarantee (b <= 2 scatters every burst to isolated bits): holds"),
+    ],
+)
+def test_the_summary_states_the_s1_guarantee_only_where_it_applies(cfg, first, last, guarantee):
+    lines = burst.summary_lines(burst_sweep(cfg, first, last))
+    assert lines[last - first + 1:] == ([guarantee] if guarantee else [])
+    assert all(line.startswith(f"b={b}: ") for b, line in zip(range(first, last + 1), lines))
+
+
+@pytest.mark.parametrize(
     "cfg_triple,b,worst",
     [
         # measured by this implementation's exhaustive sweep at first
@@ -312,6 +342,17 @@ def test_sweep_report_cap_counts_every_length(monkeypatch):
     monkeypatch.setattr(burst, "build_table", no_work)
     with pytest.raises(RangeError, match="make 122 reports, more than the limit of 93"):
         burst_sweep(CFG32, 1, 4)
+
+
+def test_sweep_position_cap_admits_its_limit(monkeypatch):
+    """Lengths 2..3 on 32 bits score 31 + 30 reports plus one more position
+    for each of length 2's 31 starts, 92 in all: a cap of 92 admits them, and
+    2..4 (121) is refused before any work."""
+    monkeypatch.setattr(burst, "MAX_SWEEP_POSITIONS", 92)
+    assert burst_sweep(CFG32, 2, 3).lengths == range(2, 4)
+    monkeypatch.setattr(burst, "build_table", None)
+    with pytest.raises(RangeError, match="score 121 window positions, more than the limit of 92"):
+        burst_sweep(CFG32, 2, 4)
 
 
 def test_column_period_law():
@@ -497,6 +538,9 @@ def naive_json(result):
     block_rows=st.integers(1, 9),
 )
 @example(cfg=CFG32, last=32, span=15, block_rows=7)  # runs up to 32 > 8
+@example(cfg=CFG32, last=29, span=3, block_rows=4)  # 4 starts: a length ends at a block end
+@example(cfg=CFG32, last=32, span=0, block_rows=1)  # one start
+@example(cfg=CFG32, last=32, span=5, block_rows=9)  # first length 27: 6 of 9 first-block rows
 def test_writers_match_a_naive_renderer(cfg, last, span, block_rows):
     """Both writers write what a row-at-a-time renderer writes, with blocks
     small enough that lengths span several, so that block seams, the later
