@@ -96,9 +96,9 @@ def test_runs_alternate_on_seeds_fixed_before_the_first_run(tmp_path):
 def test_a_gain_passes_and_a_loss_past_its_bound_is_crossed(tmp_path):
     # ops_per_s 20% higher (better), op_ms 30% higher (worse, past 15%)
     repo, _, _ = make_repo(tmp_path, figures("p", 0.01, 100, 2), figures("c", 0.01, 120, 2.6))
-    _, record = run(repo, tmp_path, "--pairs", "a=4", "--first-seed", "1", "--seconds", "1")
+    _, record = run(repo, tmp_path, "--pairs", "a=10", "--first-seed", "1", "--seconds", "1")
     ops, ms = (record["summary"]["a"]["metrics"][m] for m in ("ops_per_s", "op_ms"))
-    assert ops["verdict"] == "passed" and ops["better_in_pairs"] == 4 and ops["pairs"] == 4
+    assert ops["verdict"] == "passed" and ops["better_in_pairs"] == 10 and ops["pairs"] == 10
     assert ops["gain"] == pytest.approx(0.2)
     assert ops["gain_over_parent_iqr"] > 1 and ops["gain_shown"]
     assert ms["verdict"] == "crossed" and ms["better_in_pairs"] == 0 and not ms["gain_shown"]
@@ -124,6 +124,7 @@ def test_a_wide_spread_is_resolved_when_every_change_run_reads_better():
     ops = benchpairs.judge(parent, change, "higher", 0.12)
     assert ops["parent_spread"] == pytest.approx(0.15)
     assert ops["verdict"] == "passed" and "pairs_needed" not in ops
+    assert not ops["gain_shown"]  # better in 3 of 3 pairs, but a gain needs ten
     ms = benchpairs.judge(parent, [c - 40 for c in change], "lower", 0.12)  # 80, 90, 75
     assert ms["verdict"] == "passed" and ms["gain"] == pytest.approx(0.2)
     assert benchpairs.judge(parent, [96, 111, 120], "higher", 0.12)["verdict"] == "unresolved"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two commits, written as one BENCH file:
 
-    python3 tools/benchpairs.py PARENT CHANGE --pr 34 \\
+    python3 tools/benchpairs.py PARENT CHANGE --pr N \\
         --pairs sweep=10 --pairs tables=3 --pairs cold=3 --first-seed 3401
 
 Each commit is written with git archive to a temporary directory, so that a
@@ -16,19 +16,19 @@ The output, BENCH_<pr>.json, holds the commits, Python version, CPU count,
 the plan, every run's result line and, per workload and end-to-end metric:
 the medians and quartiles of each side, the change's gain over the parent
 (positive is better), the pairs in which the change reads better, the
-median gap over the parent's interquartile range, whether that shows a
-gain (better in nine tenths of the pairs and a gap over the range), the
-metric's bound, read from BENCHMARK.json and never written, and a verdict.
-The verdict is unresolved when the parent's spread is over the bound,
-unless every change run reads better than every parent run; the spread is
-the width of the distribution-free confidence interval of the parent's
-median, at least 95% where the pairs allow one and min to max where they
-do not, over that median, and pairs_needed then says how many pairs would
-bring it under the bound at the same scatter (it shrinks as one over the
-root of the pairs). Otherwise the verdict is crossed when the change's
-median is worse than the parent's by more than the bound, and passed when
-it is not. The file is
-rewritten after every run, so that a run cut short keeps what it measured.
+median gap over the parent's interquartile range, whether that shows a gain
+(at least ten pairs, better in nine tenths of them and a gap over the
+range), the metric's bound, read from BENCHMARK.json and never written, and
+a verdict. The verdict is unresolved when the parent's spread is over the
+bound, unless every change run reads better than every parent run; the
+spread is the width of the distribution-free confidence interval of the
+parent's median, at least 95% where the pairs allow one and min to max
+where they do not, over that median, and pairs_needed then says how many
+pairs would bring it under the bound at the same scatter (it shrinks as one
+over the root of the pairs). Otherwise the verdict is crossed when the
+change's median is worse than the parent's by more than the bound, and
+passed when it is not. The file is rewritten after every run, so that a
+run cut short keeps what it measured.
 """
 from __future__ import annotations
 
@@ -113,7 +113,9 @@ def judge(parent: list[float], change: list[float], better: str, bound: float) -
         "bound": bound,
         "parent_spread": spread,
     }
-    figures["gain_shown"] = figures["better_in_pairs"] >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1
+    figures["gain_shown"] = (
+        len(parent) >= 10 and figures["better_in_pairs"] >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1
+    )
     every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
     if spread > bound and not every_run_better:
         figures["verdict"] = "unresolved"
