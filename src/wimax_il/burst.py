@@ -14,17 +14,18 @@ The report is written here too: summary_lines for stdout, csv_chunks and
 json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
 names the per-start fields once, in order, for the CSV header, its rows
 and the JSON keys. A row after its start column depends only on b,
-max_run and min_spacing. A writer joins each block from a list of two
-pieces per row, head + start and then tail + separator. The first block's
-list is made once per writer call, its starts taken from strings made once
-for both reports, and reused by every swept length, which rewrites only
-its tail slots: its column's tails, formatted in one pass with each
-distinct (max_run, min_spacing) pair formatted once, cycled over its
-starts.
+max_run and min_spacing. A writer joins each block from one list, kept
+for the call, of two pieces per row, head + start and then tail +
+separator. Its start slots get the first block's starts, taken from
+strings made once for both reports, and every length rewrites only its
+tail slots: its column's tails, formatted in one pass with each distinct
+(max_run, min_spacing) pair formatted once, cycled over its starts. A
+later block of a length rewrites the start slots too, so that a writer
+holds one block at a time.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain, cycle, repeat
 from operator import sub
@@ -294,46 +295,54 @@ class _Tails(dict):
         return text
 
 
-def _rows(result: SweepResult, template: str, separator: str, flag: tuple) -> Iterator[Iterator[str]]:
-    """Per swept length of result, an iterator over its reports in blocks of
-    at most BLOCK_ROWS, each block one join of a piece list with two pieces
-    per row: head + start, then tail + separator, where the length's last
-    row drops the separator. The template splits at its start slot into the
-    head and the tail; rs_correctable follows from max_run, so a tail
-    depends on (max_run, min_spacing) alone, and each length formats its
-    column's tails in one pass, each distinct pair on first use (_Tails).
-    The first block's piece list is made once per call, its start pieces
-    from _first_starts; each length rewrites only its tail slots, cycled
-    over its starts, and cuts the list to its row count. Later blocks make
-    their own start pieces. A length's blocks are to be taken before the
-    next length's, which reuse the list."""
+def _rows(result: SweepResult, template: str, separator: str, flag: tuple,
+          openings: Iterable[str] = repeat(""), closing: str = "") -> Iterator[str]:
+    """Every report of result, by burst length, in blocks of at most
+    BLOCK_ROWS, each length's blocks after its opening and before closing
+    (those that are not empty). A block is one join of one piece list with
+    two pieces per row: head + start, then tail + separator, where the
+    length's last row drops the separator. The template splits at its start
+    slot into the head and the tail; rs_correctable follows from max_run, so
+    a tail depends on (max_run, min_spacing) alone, and each length formats
+    its column's tails in one pass, each distinct pair on first use
+    (_Tails), cycled over its starts. One list serves the whole call: its
+    start slots get the first block's start pieces, from _first_starts,
+    and a length that fits in one block rewrites only the tail slots and
+    cuts the list to its row count, since it has fewer rows than the length
+    before. A later block rewrites the start slots, and the next length
+    then puts the first block's back."""
     n = result.cfg.n_cbps
     head, tail = template.split("%s", 1)
-    first = min(n, BLOCK_ROWS)
-    pieces = [""] * (2 * first)
-    pieces[::2] = map(head.__add__, _first_starts(first))
-    for b, runs, gaps in zip(result.lengths, result.runs, result.gaps):
-        tails = _Tails(tail % (b, "%d", "%d", "%s") + separator, flag)
-        yield _blocks(pieces, head, separator, list(map(tails.__getitem__, zip(runs, gaps))), n - b + 1)
-
-
-def _blocks(pieces: list[str], head: str, separator: str, tails: list[str], count: int) -> Iterator[str]:
-    """count rows in blocks of at most BLOCK_ROWS, row j with start j and
-    tail tails[j % len(tails)]: the first block in pieces, whose start slots
-    already hold the first block's heads and starts."""
-    for lo in range(0, count, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, count - lo)
-        if lo:
-            block = [""] * (2 * rows)
-            block[::2] = [head + str(start) for start in range(lo, lo + rows)]
-        else:
-            block = pieces
-            del block[2 * rows:]
-        at = lo % len(tails)  # whole columns up to at + rows, then the block's part
-        block[1::2] = (tails * -(-(at + rows) // len(tails)))[at:at + rows]
-        if lo + rows == count:
-            block[-1] = block[-1].removesuffix(separator)
-        yield "".join(block)
+    pieces: list[str] = []
+    placed = -1  # the first start of the block whose start pieces the list holds
+    for b, runs, gaps, opening in zip(result.lengths, result.runs, result.gaps, openings):
+        if opening:
+            yield opening
+        tail_of = _Tails(tail % (b, "%d", "%d", "%s") + separator, flag)
+        column = list(map(tail_of.__getitem__, zip(runs, gaps)))
+        period = len(column)
+        count = n - b + 1
+        for lo in range(0, count, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, count - lo)
+            if lo == placed:
+                del pieces[2 * rows:]
+            else:  # the old start pieces go before the new ones are made
+                pieces.clear()
+                pieces.extend(repeat("", 2 * rows))
+                pieces[::2] = map(head.__add__, map(str, range(lo, lo + rows)) if lo else _first_starts(rows))
+                placed = lo
+            # row lo reads entry lo % period, and the column cycles from there
+            at = lo % period
+            turned = column[at:] + column[:at] if at else column
+            tails = turned * (rows // period)
+            tails += turned[:rows % period]
+            pieces[1::2] = tails
+            del turned, tails  # not held through the join
+            if lo + rows == count:
+                pieces[-1] = pieces[-1].removesuffix(separator)
+            yield "".join(pieces)
+        if closing:
+            yield closing
 
 
 def csv_chunks(result: SweepResult) -> Iterator[str]:
@@ -345,8 +354,7 @@ def csv_chunks(result: SweepResult) -> Iterator[str]:
         f"{FORMAT_LINE}\n# ncbps={cfg.n_cbps} d={cfg.d} s={cfg.s}\n"
         f"# columns: {','.join(COLUMNS)}\n# note: {RS_CRITERION_NOTE}\n"
     )
-    for blocks in _rows(result, _CSV_ROW, "", (0, 1)):
-        yield from blocks
+    yield from _rows(result, _CSV_ROW, "", (0, 1))
 
 
 def json_chunks(result: SweepResult) -> Iterator[str]:
@@ -364,12 +372,9 @@ def json_chunks(result: SweepResult) -> Iterator[str]:
     )
     # header[:-2] drops the closing "\n}" so that "sweeps" joins the object
     yield f'{header[:-2]},\n  "sweeps": [\n'
-    separator = ""
-    lengths = _rows(result, _JSON_REPORT, ",\n", _JSON_BOOL)
-    for b, worst, blocks in zip(result.lengths, result.worst_runs, lengths):
-        yield separator + _JSON_SWEEP % (b, worst)
-        # apart from the sweep's frame, so that no block is copied
-        yield from blocks
-        yield "\n      ]\n    }"
-        separator = ",\n"
+    openings = (
+        ("" if b == result.lengths[0] else ",\n") + _JSON_SWEEP % (b, worst)
+        for b, worst in zip(result.lengths, result.worst_runs)
+    )
+    yield from _rows(result, _JSON_REPORT, ",\n", _JSON_BOOL, openings, "\n      ]\n    }")
     yield "\n  ]\n}\n"

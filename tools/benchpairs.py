@@ -5,30 +5,35 @@
         --pairs sweep=10 --pairs tables=3 --pairs cold=3 --first-seed 3401
 
 Each commit is written with git archive to a temporary directory, so that a
-run sees that commit's committed files alone. The plan is fixed before the
-first run: pair i of a workload has seed first-seed + i (counting on across
-the workloads in the order given), and the parent goes first in even pairs,
-the change in odd ones. Each run is the benchmark's own command from
-BENCHMARK.json with --workload, --seed, --seconds and --trace 0, in the
+run sees that commit's committed files alone. Both commits must hold the
+same BENCHMARK.json and the same files under its paths, so that a change is
+measured by its parent's benchmark: the tool refuses to run otherwise, and
+reads the command, run_seconds and bounds from the parent's copy. The plan
+is fixed before the first run: pair i of a workload has seed first-seed + i
+(counting on across the workloads in the order given), and the parent goes
+first in even pairs, the change in odd ones. Each run is the benchmark's own
+command with --workload, --seed, --seconds run_seconds and --trace 0, in the
 directory of its commit.
 
-The output, BENCH_<pr>.json, holds the commits, Python version, CPU count,
-the plan, every run's result line and, per workload and end-to-end metric:
-the medians and quartiles of each side, the change's gain over the parent
-(positive is better), the pairs in which the change reads better, the
-median gap over the parent's interquartile range, whether that shows a gain
-(at least ten pairs, better in nine tenths of them and a gap over the
-range), the metric's bound, read from BENCHMARK.json and never written, and
-a verdict. The verdict is unresolved when the parent's spread is over the
-bound, unless every change run reads better than every parent run; the
-spread is the width of the distribution-free confidence interval of the
-parent's median, at least 95% where the pairs allow one and min to max
-where they do not, over that median, and pairs_needed then says how many
-pairs would bring it under the bound at the same scatter (it shrinks as one
-over the root of the pairs). Otherwise the verdict is crossed when the
-change's median is worse than the parent's by more than the bound, and
-passed when it is not. The file is rewritten after every run, so that a
-run cut short keeps what it measured.
+The output, BENCH_<pr>.json in the repository, holds the commits, Python
+version, CPU count, the plan, every run's result line and, per workload and
+end-to-end metric: the medians and quartiles of each side, the change's gain
+over the parent (positive is better), the pairs in which the change reads
+better, the median gap over the parent's interquartile range, whether that
+shows a gain (at least ten pairs, better in nine tenths of them and a gap
+over the range), the metric's bound, read from BENCHMARK.json and never
+written, and a verdict. The verdict is unresolved when the parent's spread
+is over the bound, unless every change run reads better than every parent
+run; the spread is the width of the distribution-free confidence interval
+of the parent's median, at least 95% where the pairs allow one and min to
+max where they do not, over that median. pairs_needed_estimate then guesses
+how many pairs would bring it under the bound at the same scatter, assuming
+the interval narrows as one over the root of the pairs, an assumption this
+tool does not check; it never names fewer than FEWEST_NARROWING_PAIRS, the
+fewest runs whose interval is narrower than min to max. Otherwise the
+verdict is crossed when the change's median is worse than the parent's by
+more than the bound, and passed when it is not. The file is rewritten after
+every run, so that a run cut short keeps what it measured.
 """
 from __future__ import annotations
 
@@ -94,6 +99,10 @@ def median_interval(values: list[float]) -> tuple[float, float]:
     return ordered[k - 1], ordered[n - k]
 
 
+# the fewest runs whose median interval is narrower than min to max
+FEWEST_NARROWING_PAIRS = next(n for n in range(2, 100) if median_interval(list(range(n))) != (0, n - 1))
+
+
 def judge(parent: list[float], change: list[float], better: str, bound: float) -> dict:
     """The figures and the verdict of one metric over paired runs: parent[i]
     and change[i] are pair i."""
@@ -119,7 +128,9 @@ def judge(parent: list[float], change: list[float], better: str, bound: float) -
     every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
     if spread > bound and not every_run_better:
         figures["verdict"] = "unresolved"
-        figures["pairs_needed"] = math.ceil(len(parent) * (spread / bound) ** 2) if spread < math.inf else None
+        figures["pairs_needed_estimate"] = (
+            max(FEWEST_NARROWING_PAIRS, math.ceil(len(parent) * (spread / bound) ** 2)) if spread < math.inf else None
+        )
     else:
         figures["verdict"] = "crossed" if -gain > bound else "passed"
     return figures
@@ -153,38 +164,32 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--pr", type=int, required=True, help="names the output, BENCH_<pr>.json")
-    parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
-    parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, help="per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--repo", type=Path, default=ROOT)
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in the repository")
-    args = parser.parse_args(argv)
-    pairs = {w: int(n) for w, _, n in (p.partition("=") for p in args.pairs)}
-    out = args.out or args.repo / f"BENCH_{args.pr}.json"
+def bench_pairs(repo: Path, out: Path, parent: str, change: str, pairs: dict[str, int],
+                first_seed: int, pr: int) -> dict:
+    """Run pairs (workload -> pair count) of the commits parent and change of
+    repo, writing their record to out after every run, and return it."""
     commits = {
-        side: subprocess.run(["git", "-C", str(args.repo), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        side: subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", f"{rev}^{{commit}}"],
                              check=True, capture_output=True, text=True).stdout.strip()
-        for side, rev in zip(SIDES, (args.parent, args.change))
+        for side, rev in zip(SIDES, (parent, change))
     }
     with tempfile.TemporaryDirectory(prefix="benchpairs-") as scratch:
         trees = {side: Path(scratch) / side for side in SIDES}
         for side in SIDES:
-            archive(args.repo, commits[side], trees[side])
-        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+            archive(repo, commits[side], trees[side])
+        spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+        benchmark = ["BENCHMARK.json", *spec["paths"]]
+        if subprocess.run(["git", "-C", str(repo), "diff", "--quiet", *commits.values(), "--", *benchmark]).returncode:
+            raise SystemExit(f"refused: the commits differ in {', '.join(benchmark)}")
+        seconds = spec["run_seconds"]
         record = {
-            "pr": args.pr,
+            "pr": pr,
             "commits": commits,
             "python": sys.version.split()[0],
             "cpu_count": os.cpu_count(),
             "command": [*spec["command"], "--workload", "W", "--seed", "S", "--seconds", str(seconds), "--trace", "0"],
             "seconds": seconds,
-            "plan": plan(pairs, args.first_seed),
+            "plan": plan(pairs, first_seed),
             "runs": [],
             "summary": {},
         }
@@ -199,6 +204,20 @@ def main(argv: list[str] | None = None) -> int:
                 value = {m: v["value"] for m, v in (run["result"] or {}).get("metrics", {}).items()}
                 print(f"{step['workload']} pair {step['pair']} seed {step['seed']} {side}: exit {run['exit']} {value}",
                       flush=True)
+    return record
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--pr", type=int, required=True, help="names the output, BENCH_<pr>.json")
+    parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N")
+    parser.add_argument("--first-seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    pairs = {w: int(n) for w, _, n in (p.partition("=") for p in args.pairs)}
+    record = bench_pairs(ROOT, ROOT / f"BENCH_{args.pr}.json", args.parent, args.change, pairs,
+                         args.first_seed, args.pr)
     for workload, entry in record["summary"].items():
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: {m['parent_median']:.6g} -> {m['change_median']:.6g} "
