@@ -314,7 +314,7 @@ def _rows(result: SweepResult, template: str, separator: str, flag: tuple,
     n = result.cfg.n_cbps
     head, tail = template.split("%s", 1)
     pieces: list[str] = []
-    placed = -1  # the first start of the block whose start pieces the list holds
+    placed: int | None = None  # the first start of the block whose start pieces the list holds
     for b, runs, gaps, opening in zip(result.lengths, result.runs, result.gaps, openings):
         if opening:
             yield opening
@@ -324,7 +324,7 @@ def _rows(result: SweepResult, template: str, separator: str, flag: tuple,
         count = n - b + 1
         for lo in range(0, count, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, count - lo)
-            if lo == placed:
+            if lo == placed:  # a length's first block, no longer than the last length's
                 del pieces[2 * rows:]
             else:  # the old start pieces go before the new ones are made
                 pieces.clear()

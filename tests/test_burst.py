@@ -586,6 +586,26 @@ def test_report_writers_peak_under_3_mb():
         assert peak <= 3_000_000, (writer.__name__, peak)
 
 
+def test_a_length_of_many_blocks_holds_one_block_at_a_time():
+    """The JSON writer's peak on a 16-block length is within 0.3 of a
+    block's text of its peak on a one-block length: a later block's start
+    pieces replace the first block's in the one piece list. Kept beside
+    them, as a second list, they add ≈0.7 of a block's text."""
+    def peak_and_longest(result):
+        for _ in burst.json_chunks(result):  # start strings cached before tracing
+            pass
+        tracemalloc.start()
+        try:
+            longest = max(map(len, burst.json_chunks(result)))
+            return tracemalloc.get_traced_memory()[1], longest
+        finally:
+            tracemalloc.stop()
+
+    many, longest = peak_and_longest(burst_sweep(InterleaverConfig(65536, 16, 1), 128))
+    one, _ = peak_and_longest(burst_sweep(InterleaverConfig(4096, 16, 1), 1))  # 4096 rows
+    assert many - one <= 0.3 * longest, (many, one, longest)
+
+
 # SHA-256 of the CSV and JSON reports of burst --sweep-max on the blocks of the
 # sweep benchmark workload and one of several blocks a length, captured as
 # tests/golden/README.md shows
