@@ -14,14 +14,14 @@ The report is written here too: summary_lines for stdout, csv_chunks and
 json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
 names the per-start fields once, in order, for the CSV header, its rows
 and the JSON keys. A row after its start column depends only on b,
-max_run and min_spacing. A writer joins each block from one list, kept
-for the call, of two pieces per row, head + start and then tail +
-separator. Its start slots get the first block's starts, taken from
-strings made once for both reports, and every length rewrites only its
-tail slots: its column's tails, formatted in one pass with each distinct
+max_run and min_spacing. A writer joins each block from one piece list:
+the head, then per row its start string and its tail, where each tail but
+the block's last carries the separator and the next row's head. Start
+strings are made once per command for the first block of a length, which
+both reports and every length share, and once per later block. The tails
+are a length's column of them, formatted in one pass with each distinct
 (max_run, min_spacing) pair formatted once, cycled over its starts. A
-later block of a length rewrites the start slots too, so that a writer
-holds one block at a time.
+writer holds one block at a time.
 """
 from __future__ import annotations
 
@@ -299,47 +299,46 @@ def _rows(result: SweepResult, template: str, separator: str, flag: tuple,
           openings: Iterable[str] = repeat(""), closing: str = "") -> Iterator[str]:
     """Every report of result, by burst length, in blocks of at most
     BLOCK_ROWS, each length's blocks after its opening and before closing
-    (those that are not empty). A block is one join of one piece list with
-    two pieces per row: head + start, then tail + separator, where the
-    length's last row drops the separator. The template splits at its start
-    slot into the head and the tail; rs_correctable follows from max_run, so
-    a tail depends on (max_run, min_spacing) alone, and each length formats
-    its column's tails in one pass, each distinct pair on first use
-    (_Tails), cycled over its starts. One list serves the whole call: its
-    start slots get the first block's start pieces, from _first_starts,
-    and a length that fits in one block rewrites only the tail slots and
-    cuts the list to its row count, since it has fewer rows than the length
-    before. A later block rewrites the start slots, and the next length
-    then puts the first block's back."""
+    (those that are not empty). A block is one join of one piece list: the
+    head, then per row its start string and its tail, where each tail but
+    the block's last carries the separator and the next row's head; a
+    later block of a length opens with the separator and the head. The
+    template splits at its start slot into the head and the tail;
+    rs_correctable follows from max_run, so a tail depends on (max_run,
+    min_spacing) alone, and each length formats its column's tails in one
+    pass, each distinct pair on first use (_Tails), cycled over its starts.
+    A length's first block fills the tail slots of one list, kept for the
+    call, whose start slots hold the strings of _first_starts and which is
+    only cut to the block's row count, since each length has fewer rows
+    than the one before. A later block is a fresh list of its own start
+    strings and tails."""
     n = result.cfg.n_cbps
     head, tail = template.split("%s", 1)
-    pieces: list[str] = []
-    placed: int | None = None  # the first start of the block whose start pieces the list holds
+    follow = separator + head
+    first = [head] * (2 * min(n, BLOCK_ROWS) + 1)
+    first[1::2] = _first_starts(min(n, BLOCK_ROWS))
     for b, runs, gaps, opening in zip(result.lengths, result.runs, result.gaps, openings):
         if opening:
             yield opening
-        tail_of = _Tails(tail % (b, "%d", "%d", "%s") + separator, flag)
+        tail_of = _Tails(tail % (b, "%d", "%d", "%s") + follow, flag)
         column = list(map(tail_of.__getitem__, zip(runs, gaps)))
         period = len(column)
         count = n - b + 1
         for lo in range(0, count, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, count - lo)
-            if lo == placed:  # a length's first block, no longer than the last length's
-                del pieces[2 * rows:]
-            else:  # the old start pieces go before the new ones are made
-                pieces.clear()
-                pieces.extend(repeat("", 2 * rows))
-                pieces[::2] = map(head.__add__, map(str, range(lo, lo + rows)) if lo else _first_starts(rows))
-                placed = lo
+            if lo:
+                pieces = [follow] * (2 * rows + 1)
+                pieces[1::2] = map(str, range(lo, lo + rows))
+            else:
+                pieces = first
+                del pieces[2 * rows + 1:]
             # row lo reads entry lo % period, and the column cycles from there
             at = lo % period
             turned = column[at:] + column[:at] if at else column
-            tails = turned * (rows // period)
-            tails += turned[:rows % period]
-            pieces[1::2] = tails
+            tails = turned * (rows // period) + turned[:rows % period]
+            tails[-1] = tails[-1].removesuffix(follow)
+            pieces[2::2] = tails
             del turned, tails  # not held through the join
-            if lo + rows == count:
-                pieces[-1] = pieces[-1].removesuffix(separator)
             yield "".join(pieces)
         if closing:
             yield closing

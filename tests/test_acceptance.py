@@ -10,6 +10,8 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from wimax_il.burst import burst_sweep
 from wimax_il.cli import main as cli_main
 from wimax_il.cost_model import compare_variants, reduction_check
@@ -87,96 +89,69 @@ def check_7_tradeoff_ordering():
         assert "107.41" in report.render_text()
 
 
-def check_8_cli_contract(workdir: Path):
-    table_path = workdir / "t32.csv"
-    ref_path = workdir / "ref32.csv"
+def check_8_cli_contract():
+    # the CLI prints its own summaries; keep the gate output clean
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(io.StringIO()):
+        workdir = Path(tmp)
+        table_path = workdir / "t32.csv"
+        ref_path = workdir / "ref32.csv"
 
-    # success paths
-    assert cli_main(
-        ["gen", "--ncbps", "32", "--d", "16", "--s", "1",
-         "--engine", "incremental", "--out", str(table_path)]
-    ) == 0
-    assert cli_main(
-        ["gen", "--ncbps", "32", "--d", "16", "--s", "1",
-         "--engine", "reference", "--out", str(ref_path)]
-    ) == 0
-    assert table_path.read_bytes() == ref_path.read_bytes()
-    assert cli_main(["verify", "--table", str(table_path)]) == 0
-    assert cli_main(["verify", "--all-presets"]) == 0
-    assert cli_main(["burst", "--ncbps", "32", "--d", "16", "--s", "1", "--b", "2"]) == 0
-    out_json = workdir / "tradeoff.json"
-    assert cli_main(["tradeoff", "--preset", "qam16", "--out", str(out_json)]) == 0
-    assert json.loads(out_json.read_text())["paper_reference"]["slices"] == 65
+        # success paths
+        assert cli_main(
+            ["gen", "--ncbps", "32", "--d", "16", "--s", "1",
+             "--engine", "incremental", "--out", str(table_path)]
+        ) == 0
+        assert cli_main(
+            ["gen", "--ncbps", "32", "--d", "16", "--s", "1",
+             "--engine", "reference", "--out", str(ref_path)]
+        ) == 0
+        assert table_path.read_bytes() == ref_path.read_bytes()
+        assert cli_main(["verify", "--table", str(table_path)]) == 0
+        assert cli_main(["verify", "--all-presets"]) == 0
+        assert cli_main(["burst", "--ncbps", "32", "--d", "16", "--s", "1", "--b", "2"]) == 0
+        out_json = workdir / "tradeoff.json"
+        assert cli_main(["tradeoff", "--preset", "qam16", "--out", str(out_json)]) == 0
+        assert json.loads(out_json.read_text())["paper_reference"]["slices"] == 65
 
-    # round trip byte-identically through parse/serialize
-    from wimax_il.tablefile import parse_table, serialize_table
+        # round trip byte-identically through parse/serialize
+        from wimax_il.tablefile import parse_table, serialize_table
 
-    original = table_path.read_text()
-    assert serialize_table(parse_table(original)) == original
+        original = table_path.read_text()
+        assert serialize_table(parse_table(original)) == original
 
-    # corruption -> exit 1
-    corrupt = workdir / "corrupt.csv"
-    corrupt.write_text(original.replace("0,0\n1,16\n", "0,16\n1,0\n"))
-    assert cli_main(["verify", "--table", str(corrupt)]) == 1
+        # corruption -> exit 1
+        corrupt = workdir / "corrupt.csv"
+        corrupt.write_text(original.replace("0,0\n1,16\n", "0,16\n1,0\n"))
+        assert cli_main(["verify", "--table", str(corrupt)]) == 1
 
-    # bad input -> exit 2
-    assert cli_main(["gen", "--ncbps", "100", "--d", "16", "--s", "1"]) == 2
-    assert cli_main(["burst", "--ncbps", "32", "--d", "16", "--s", "1", "--b", "0"]) == 2
-    assert cli_main(["tradeoff", "--ncbps", "32", "--d", "16", "--s", "9"]) == 2
-
-
-def test_criterion_1_mutual_inverse():
-    check_1_mutual_inverse_exhaustive()
-    print("criterion 1 (mutual inverse, exhaustive, exact): PASS")
-
-
-def test_criterion_2_bijectivity():
-    check_2_bijectivity()
-    print("criterion 2 (bijectivity of every table, exact): PASS")
+        # bad input -> exit 2
+        assert cli_main(["gen", "--ncbps", "100", "--d", "16", "--s", "1"]) == 2
+        assert cli_main(["burst", "--ncbps", "32", "--d", "16", "--s", "1", "--b", "0"]) == 2
+        assert cli_main(["tradeoff", "--ncbps", "32", "--d", "16", "--s", "9"]) == 2
 
 
-def test_criterion_3_oracle_equivalence():
-    check_3_oracle_equivalence_and_loop_source()
-    print("criterion 3 (incremental = reference, zero div/mul, exact): PASS")
+CRITERIA = {
+    "criterion 1 (mutual inverse, exhaustive, exact)": check_1_mutual_inverse_exhaustive,
+    "criterion 2 (bijectivity of every table, exact)": check_2_bijectivity,
+    "criterion 3 (incremental = reference, zero div/mul, exact)": check_3_oracle_equivalence_and_loop_source,
+    "criterion 4 (worked address values, exact)": check_4_worked_values,
+    "criterion 5 (burst dispersal, exhaustive sweeps, exact)": check_5_burst_dispersal,
+    "criterion 6 (published reduction percentages within 0.1)": check_6_comparison_arithmetic,
+    "criterion 7 (structural ordering, speed graph = reference, verbatim constants)": check_7_tradeoff_ordering,
+    "criterion 8 (CLI exit codes and byte-stable files)": check_8_cli_contract,
+}
 
 
-def test_criterion_4_worked_values():
-    check_4_worked_values()
-    print("criterion 4 (worked address values, exact): PASS")
-
-
-def test_criterion_5_burst_dispersal():
-    check_5_burst_dispersal()
-    print("criterion 5 (burst dispersal, exhaustive sweeps, exact): PASS")
-
-
-def test_criterion_6_comparison_arithmetic():
-    check_6_comparison_arithmetic()
-    print("criterion 6 (published reduction percentages within 0.1): PASS")
-
-
-def test_criterion_7_tradeoff_ordering():
-    check_7_tradeoff_ordering()
-    print("criterion 7 (structural ordering, speed graph = reference, verbatim constants): PASS")
-
-
-def test_criterion_8_cli_contract(tmp_path):
-    check_8_cli_contract(tmp_path)
-    print("criterion 8 (CLI exit codes and byte-stable files): PASS")
+@pytest.mark.parametrize("check", CRITERIA.values(), ids=CRITERIA.keys())
+def test_criterion(check):
+    check()
 
 
 def _main() -> int:
-    checks = [
-        ("criterion 1 (mutual inverse, exhaustive, exact)", check_1_mutual_inverse_exhaustive),
-        ("criterion 2 (bijectivity of every table, exact)", check_2_bijectivity),
-        ("criterion 3 (incremental = reference, zero div/mul, exact)", check_3_oracle_equivalence_and_loop_source),
-        ("criterion 4 (worked address values, exact)", check_4_worked_values),
-        ("criterion 5 (burst dispersal, exhaustive sweeps, exact)", check_5_burst_dispersal),
-        ("criterion 6 (published reduction percentages within 0.1)", check_6_comparison_arithmetic),
-        ("criterion 7 (structural ordering, speed graph = reference, verbatim constants)", check_7_tradeoff_ordering),
-    ]
     failed = 0
-    for name, check in checks:
+    for name, check in CRITERIA.items():
         try:
             check()
         except AssertionError as exc:
@@ -184,18 +159,6 @@ def _main() -> int:
             print(f"{name}: FAIL ({exc})")
         else:
             print(f"{name}: PASS")
-    with tempfile.TemporaryDirectory() as tmp:
-        try:
-            # the CLI prints its own summaries; keep the gate output clean
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                io.StringIO()
-            ):
-                check_8_cli_contract(Path(tmp))
-        except AssertionError as exc:
-            failed += 1
-            print(f"criterion 8 (CLI exit codes and byte-stable files): FAIL ({exc})")
-        else:
-            print("criterion 8 (CLI exit codes and byte-stable files): PASS")
     return 1 if failed else 0
 
 

@@ -586,24 +586,40 @@ def test_report_writers_peak_under_3_mb():
         assert peak <= 3_000_000, (writer.__name__, peak)
 
 
+def json_peak_and_longest(result, cold_starts=False):
+    """The JSON writer's tracemalloc peak on result after a warm pass, and
+    its longest chunk. cold_starts clears the cached first-block start
+    strings after the warm pass, so that the traced pass makes them."""
+    for _ in burst.json_chunks(result):
+        pass
+    if cold_starts:
+        burst._first_starts.cache_clear()
+    tracemalloc.start()
+    try:
+        longest = max(map(len, burst.json_chunks(result)))
+        return tracemalloc.get_traced_memory()[1], longest
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_length_of_many_blocks_holds_one_block_at_a_time():
     """The JSON writer's peak on a 16-block length is within 0.3 of a
-    block's text of its peak on a one-block length: a later block's start
-    pieces replace the first block's in the one piece list. Kept beside
-    them, as a second list, they add ≈0.7 of a block's text."""
-    def peak_and_longest(result):
-        for _ in burst.json_chunks(result):  # start strings cached before tracing
-            pass
-        tracemalloc.start()
-        try:
-            longest = max(map(len, burst.json_chunks(result)))
-            return tracemalloc.get_traced_memory()[1], longest
-        finally:
-            tracemalloc.stop()
-
-    many, longest = peak_and_longest(burst_sweep(InterleaverConfig(65536, 16, 1), 128))
-    one, _ = peak_and_longest(burst_sweep(InterleaverConfig(4096, 16, 1), 1))  # 4096 rows
+    block's text of its peak on a one-block length, where each traced pass
+    makes one block's start strings: the one-block length makes its first
+    block's, the cache cleared, and each later block of the 16-block length
+    makes its own, its first block reading the cache. Holding a block's
+    start strings through the next block's join adds ≈0.47."""
+    many, longest = json_peak_and_longest(burst_sweep(InterleaverConfig(65536, 16, 1), 128))
+    one, _ = json_peak_and_longest(burst_sweep(InterleaverConfig(4096, 16, 1), 1), cold_starts=True)
     assert many - one <= 0.3 * longest, (many, one, longest)
+
+
+def test_a_one_block_length_holds_its_text_and_little_more():
+    """With the start strings cached, the JSON writer on a one-block length
+    (4096 rows) peaks within 1.25 of its text: it makes no string per row
+    beyond the text. A head + start string per row adds ≈0.55 of it."""
+    peak, longest = json_peak_and_longest(burst_sweep(InterleaverConfig(4096, 16, 1), 1))
+    assert peak <= 1.25 * longest, (peak, longest)
 
 
 # SHA-256 of the CSV and JSON reports of burst --sweep-max on the blocks of the

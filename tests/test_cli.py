@@ -248,30 +248,6 @@ def test_verify_single_config_counts(capsys):
     assert "inverse=384/384" in capsys.readouterr().out
 
 
-def test_verify_good_table_file(tmp_path, capsys):
-    path = tmp_path / "t.csv"
-    main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)])
-    assert main(["verify", "--table", str(path)]) == 0
-
-
-def test_verify_corrupted_table_exits_1(tmp_path, capsys):
-    path = tmp_path / "t.csv"
-    main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)])
-    text = path.read_text()
-    # swap two addresses: still a permutation, no longer the right table
-    text = text.replace("0,0\n1,16\n", "0,16\n1,0\n")
-    path.write_text(text)
-    assert main(["verify", "--table", str(path)]) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
-def test_verify_duplicate_address_exits_1(tmp_path, capsys):
-    path = tmp_path / "t.csv"
-    main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)])
-    path.write_text(path.read_text().replace("\n2,1\n", "\n2,16\n"))
-    assert main(["verify", "--table", str(path)]) == 1
-
-
 def test_verify_crlf_table_exits_1(tmp_path, capsys):
     path = tmp_path / "t.csv"
     main(["gen", "--ncbps", "32", "--d", "16", "--s", "1", "--out", str(path)])

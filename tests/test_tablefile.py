@@ -222,16 +222,6 @@ def test_the_full_parse_stands_without_the_reference(monkeypatch, mutation):
     assert str(excinfo.value) == mutation.message
 
 
-@pytest.mark.parametrize("d,s", [(d, s) for d in ALLOWED_D for s in ALLOWED_S])
-def test_the_largest_reference_tables_are_permutations(d, s):
-    """verify --table does not check a file equal to its reference table for
-    being a permutation. The exhaustive check stops at 2048 bits; this pins
-    the largest valid block of each (d, s)."""
-    cfg = InterleaverConfig(d * (MAX_NCBPS // d // s * s), d, s)
-    for direction in Direction:
-        assert build_table(cfg, direction).is_permutation(), cfg
-
-
 def admitted_blocks_above_2304() -> list:
     """For each (d, s), the largest block the CLI admits, id "d-s", and two
     admissible blocks drawn by a fixed seed between 2304 bits and that one,
