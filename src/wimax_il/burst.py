@@ -14,19 +14,21 @@ The report is written here too: summary_lines for stdout, csv_chunks and
 json_chunks for the files, at most BLOCK_ROWS reports at a time. COLUMNS
 names the per-start fields once, in order, for the CSV header, its rows
 and the JSON keys. A row after its start column depends only on b,
-max_run and min_spacing. A writer joins each block from one piece list:
-the head, then per row its start string and its tail, where each tail but
-the block's last carries the separator and the next row's head. Start
-strings are made once per command for the first block of a length, which
-both reports and every length share, and once per later block. The tails
-are a length's column of them, formatted in one pass with each distinct
-(max_run, min_spacing) pair formatted once, cycled over its starts. A
+max_run and min_spacing, and each tail but a block's last carries the
+separator and the next row's head. A block is the list of its start
+strings, the first carrying the block's opening and the last its tail.
+Where every start of a length shares one (max_run, min_spacing) pair, as
+on most lengths a sweep writes (every run is 1 for s = 1 and b <= rows),
+the block is that one tail's join of the list. Otherwise it is one join
+of a piece list that interleaves the starts with the length's column of
+tails, each distinct pair formatted once and cycled over its starts.
+Start strings are made once per command for the first block of a length,
+which both reports and every length share, and once per later block. A
 writer holds one block at a time.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from itertools import chain, cycle, repeat
 from operator import sub
 from typing import NamedTuple
@@ -273,73 +275,82 @@ def summary_lines(result: SweepResult) -> list[str]:
     return lines
 
 
-@lru_cache(maxsize=1)
-def _first_starts(count: int) -> tuple[str, ...]:
-    """The start column of a first block of count rows, made once and
-    shared by every length and by both reports of a command."""
-    return tuple(map(str, range(count)))
+class _FirstStarts(dict):
+    """The start column of a first block of count rows by count, made once
+    and shared by every length and by both reports of a command, one count
+    at a time. cli.cmd_burst drops it with clear() when the command ends,
+    and misses counts how many columns were made. cache_clear and
+    cache_info clear and read it as an lru_cache's do: cache_clear also
+    zeroes misses."""
+
+    misses = 0
+
+    def __missing__(self, count: int) -> tuple[str, ...]:
+        self.clear()
+        self.misses += 1
+        starts = self[count] = tuple(map(str, range(count)))
+        return starts
+
+    def cache_clear(self) -> None:
+        self.clear()
+        self.misses = 0
+
+    def cache_info(self) -> _FirstStarts:
+        return self
 
 
-class _Tails(dict):
-    """One swept length's row tails by (max_run, min_spacing), each
-    formatted from template on first use: template has b baked in and slots
-    for max_run, min_spacing and flag[correctable]."""
-
-    def __init__(self, template: str, flag: tuple) -> None:
-        super().__init__()
-        self.template, self.flag = template, flag
-
-    def __missing__(self, pair: tuple[int, int]) -> str:
-        run, gap = pair
-        text = self[pair] = self.template % (run, gap, self.flag[run <= RS_MAX_CORRECTABLE_RUN])
-        return text
+_first_starts = _FirstStarts()
 
 
 def _rows(result: SweepResult, template: str, separator: str, flag: tuple,
           openings: Iterable[str] = repeat(""), closing: str = "") -> Iterator[str]:
     """Every report of result, by burst length, in blocks of at most
     BLOCK_ROWS, each length's blocks after its opening and before closing
-    (those that are not empty). A block is one join of one piece list: the
-    head, then per row its start string and its tail, where each tail but
-    the block's last carries the separator and the next row's head; a
-    later block of a length opens with the separator and the head. The
-    template splits at its start slot into the head and the tail;
-    rs_correctable follows from max_run, so a tail depends on (max_run,
-    min_spacing) alone, and each length formats its column's tails in one
-    pass, each distinct pair on first use (_Tails), cycled over its starts.
-    A length's first block fills the tail slots of one list, kept for the
-    call, whose start slots hold the strings of _first_starts and which is
-    only cut to the block's row count, since each length has fewer rows
-    than the one before. A later block is a fresh list of its own start
-    strings and tails."""
+    (those that are not empty). The template splits at its start slot into
+    the head and the tail; rs_correctable follows from max_run, so a tail
+    depends on (max_run, min_spacing) alone. Each tail but a block's last
+    carries the separator and the next row's head, and each distinct pair
+    of a length is formatted once. A block is a list of its start strings,
+    those of _first_starts for a length's first block and its own for a
+    later one, whose first carries the block's opening (the head, or the
+    separator and the head) and whose last carries its tail without them.
+    Where every start of a length has one tail, the block is that tail's
+    join of the list. Otherwise it is one join of a piece list that
+    interleaves the starts with the length's column of tails, cycled from
+    the block's first row."""
     n = result.cfg.n_cbps
     head, tail = template.split("%s", 1)
     follow = separator + head
-    first = [head] * (2 * min(n, BLOCK_ROWS) + 1)
-    first[1::2] = _first_starts(min(n, BLOCK_ROWS))
     for b, runs, gaps, opening in zip(result.lengths, result.runs, result.gaps, openings):
         if opening:
             yield opening
-        tail_of = _Tails(tail % (b, "%d", "%d", "%s") + follow, flag)
+        if runs.count(runs[0]) == len(runs) and gaps.count(gaps[0]) == len(gaps):
+            runs = runs[:1]  # one tail: the column is that tail alone
+        form = tail % (b, "%d", "%d", "%s") + follow  # b filled in
+        tail_of = {(run, gap): form % (run, gap, flag[run <= RS_MAX_CORRECTABLE_RUN])
+                   for run, gap in set(zip(runs, gaps))}
         column = list(map(tail_of.__getitem__, zip(runs, gaps)))
         period = len(column)
         count = n - b + 1
         for lo in range(0, count, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, count - lo)
-            if lo:
-                pieces = [follow] * (2 * rows + 1)
-                pieces[1::2] = map(str, range(lo, lo + rows))
-            else:
-                pieces = first
-                del pieces[2 * rows + 1:]
+            starts = list(map(str, range(lo, lo + rows)) if lo else _first_starts[min(n, BLOCK_ROWS)][:rows])
+            starts[0] = (follow if lo else head) + starts[0]
+            if period == 1:
+                starts[-1] += column[0].removesuffix(follow)
+                yield column[0].join(starts)
+                del starts  # not held while the next block's are made
+                continue
             # row lo reads entry lo % period, and the column cycles from there
             at = lo % period
             turned = column[at:] + column[:at] if at else column
             tails = turned * (rows // period) + turned[:rows % period]
             tails[-1] = tails[-1].removesuffix(follow)
-            pieces[2::2] = tails
-            del turned, tails  # not held through the join
+            pieces = [None] * (2 * rows)
+            pieces[::2], pieces[1::2] = starts, tails
+            del starts, turned, tails  # not held through the join
             yield "".join(pieces)
+            del pieces  # nor these
         if closing:
             yield closing
 

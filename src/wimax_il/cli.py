@@ -165,12 +165,16 @@ def cmd_burst(args: SimpleNamespace) -> tuple[int, str]:
     else:
         result = burst.burst_sweep(cfg, 1, args.sweep_max)
     lines = burst.summary_lines(result)
-    if args.out is not None:
-        _write(args.out, burst.csv_chunks(result))
-        lines.append(f"wrote CSV report to {args.out}")
-    if args.json_out is not None:
-        _write(args.json_out, burst.json_chunks(result))
-        lines.append(f"wrote JSON report to {args.json_out}")
+    try:
+        if args.out is not None:
+            _write(args.out, burst.csv_chunks(result))
+            lines.append(f"wrote CSV report to {args.out}")
+        if args.json_out is not None:
+            _write(args.json_out, burst.json_chunks(result))
+            lines.append(f"wrote JSON report to {args.json_out}")
+    finally:
+        # the start strings both reports share die with the command
+        burst._first_starts.clear()
     return 0, "\n".join(lines)
 
 

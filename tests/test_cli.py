@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -511,6 +512,39 @@ def test_both_reports_share_the_start_strings(tmp_path, monkeypatch):
     assert main(["burst", "--preset", "qam64", "--sweep-max", "3",
                  "--out", "r.csv", "--json-out", "r.json"]) == 0
     assert burst._first_starts.cache_info().misses == 1
+
+
+def test_a_burst_command_takes_its_start_strings_with_it(tmp_path, monkeypatch, capsys):
+    """After a warm run, a burst command on 4,096 bits leaves at most 16 KB
+    more traced memory than it found. The first block's 4,096 start
+    strings and their tuple, which both reports share, are ≈250 KB; what
+    stays is the interpreter's own small allocations (≈3.5 KB)."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["burst", "--ncbps", "4096", "--d", "16", "--s", "1", "--b", "1",
+            "--out", "r.csv", "--json-out", "r.json"]
+    assert main(argv) == 0
+    # strings a warm run left behind would be read, not made, under the trace
+    burst._first_starts.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 16_000, (before, after)
+
+
+def test_a_failed_report_write_drops_the_start_strings(tmp_path, monkeypatch, capsys):
+    """The start strings go when a report write fails, too: here the CSV
+    is written and the JSON's directory does not exist."""
+    monkeypatch.chdir(tmp_path)
+    burst._first_starts.cache_clear()
+    assert main(["burst", "--preset", "qam64", "--sweep-max", "3",
+                 "--out", "r.csv", "--json-out", "missing/r.json"]) == 2
+    assert (tmp_path / "r.csv").stat().st_size > 0
+    assert burst._first_starts.cache_info().misses == 1
+    assert len(burst._first_starts) == 0
 
 
 @pytest.mark.parametrize(
