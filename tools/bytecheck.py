@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Check that two commits write the same bytes, family by family:
 
-    python3 tools/bytecheck.py PARENT CHANGE [--max-ncbps N]
+    python3 tools/bytecheck.py PARENT CHANGE
 
 Each commit is written with git archive to a temporary directory, as
 tools/benchpairs.py writes it, and this file's corpus runs against each
 tree's src/ in a fresh process, so that both trees run one corpus. Every
 command goes through cli.main in an empty working directory; its argv,
 exit code, stdout, stderr and each file it wrote, by name, feed its
-family's SHA-256. The families, on every valid config of up to N bits
-(768 by default, 203 configs):
+family's SHA-256. The families, on every valid config of up to 768 bits
+(203 configs; the tests pass a smaller bound):
 
 - burst: burst --sweep-max min(10, n_cbps) with a CSV and a JSON report;
-- blocks: csv_chunks and json_chunks of the sweeps of lengths 1..5, 3..9
-  and n_cbps - 2..n_cbps, with burst.BLOCK_ROWS set to 1, 2, 3, 7 and 64,
-  on every config of up to min(N, 96) bits;
+- blocks: the text of csv_chunks and json_chunks, called directly, on
+  the sweeps of lengths 1..5, 3..9 and n_cbps - 2..n_cbps, with
+  burst.BLOCK_ROWS set to 1, 2, 3, 7 and 64, on every config of up to 96
+  bits (or the smaller bound);
 - long: both reports of burst --sweep-max 3 on (9216,16,3) and (9216,12,1)
   and of burst --b 128 on (65536,16,1), lengths of several blocks;
 - gen: gen in both directions with both engines, to a file, and the
@@ -146,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("parent", nargs="?")
     parser.add_argument("change", nargs="?")
-    parser.add_argument("--max-ncbps", type=int, default=768, help="largest block of the config families")
     parser.add_argument("--digests", type=int, metavar="N", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.digests is not None:  # the child process, in its tree
@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.change is None:
         parser.error("give PARENT and CHANGE")
-    return bytecheck(ROOT, args.parent, args.change, args.max_ncbps)
+    return bytecheck(ROOT, args.parent, args.change)
 
 
 if __name__ == "__main__":
