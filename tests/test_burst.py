@@ -588,6 +588,15 @@ def test_report_writers_peak_under_3_mb():
         assert peak <= 3_000_000, (writer.__name__, peak)
 
 
+def test_the_start_cache_keeps_one_column_and_counts_what_it_makes():
+    """A fresh start cache has made no column; a count it does not hold
+    makes one, which replaces the column it held."""
+    cache = type(burst._first_starts)()
+    assert cache[3] == ("0", "1", "2") and cache[3] is cache[3]
+    assert cache[5] == ("0", "1", "2", "3", "4")
+    assert cache.cache_info().misses == 2 and list(cache) == [5]
+
+
 def json_peak_and_longest(result, cold_starts=False):
     """The JSON writer's tracemalloc peak on result after a warm pass, and
     its longest chunk. cold_starts clears the cached first-block start
