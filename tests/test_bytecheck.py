@@ -25,7 +25,7 @@ def commit_pair(tmp_path, edit):
     for text in (cli.read_text(), edit(cli.read_text())):
         cli.write_text(text)
         git(repo, "add", "-A")
-        git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "--allow-empty", "-m", "c")
+        git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "c")
     return repo
 
 
